@@ -30,7 +30,9 @@ with the degradation ladder and autoscaler engaged, versus < 50%
 undefended; seeded storms must replay bit-identically; a cluster
 storm with a mid-storm shard crash must still serve every request
 exactly once.  Measured numbers are recorded in
-``benchmarks/REPORT_overload.md``.
+``benchmarks/REPORT_overload.md``.  Every storm the storm and
+retry-storm tiers fire is a named scenario from
+``repro.serve.SCENARIOS`` at the reports' seed.
 
 The retry-storm tier (``--retry-storm``, CI gate ``--retry-storm
 --smoke``) measures the closed-loop client layer from
@@ -52,11 +54,9 @@ from dataclasses import dataclass, replace
 from repro.harness.common import resolve_tier
 from repro.serve import (
     ClusterRouter,
+    SCENARIOS,
     ClusterStormConfig,
-    FlashCrowd,
     SearchService,
-    StormConfig,
-    TraceConfig,
     WorkloadConfig,
     make_workload,
     post_crowd_attainment,
@@ -271,93 +271,13 @@ def render_skew_comparison(off, on) -> str:
     )
 
 
-@dataclass(frozen=True)
-class StormBenchConfig:
-    """Operating point for the overload-survival gate.
-
-    Calibrated so the flash crowd peaks ~4x beyond the 2-device
-    sustainable rate: undefended, interactive attainment collapses
-    below 50% as the queue backs up through every deadline;
-    defended (admission ladder + autoscaler), interactive must hold
-    >= 95% while standard/batch absorb the shedding.  The gate
-    thresholds are tied to this exact operating point, so tiers
-    share it.
-    """
-
-    base_rate: float = 450.0
-    horizon_s: float = 0.6
-    crowd_start_s: float = 0.1
-    crowd_duration_s: float = 0.4
-    crowd: float = 4.0
-    budget_scale: float = 0.25
-    n_devices: int = 2
-    max_active: int = 32
-    autoscale_max: int = 8
-    scaleup_lag_s: float = 0.03
-    seed: int = 11
-
-    def trace(self, **overrides) -> TraceConfig:
-        horizon = overrides.pop("horizon_s", self.horizon_s)
-        base_rate = overrides.pop("base_rate", self.base_rate)
-        return TraceConfig(
-            base_rate=base_rate,
-            horizon_s=horizon,
-            seed=self.seed,
-            components=(
-                FlashCrowd(
-                    start_s=self.crowd_start_s,
-                    duration_s=self.crowd_duration_s,
-                    multiplier=self.crowd,
-                ),
-            ),
-            class_deadline_s=(
-                ("interactive", 0.1),
-                ("standard", 0.3),
-                ("batch", 1.0),
-            ),
-            workload=WorkloadConfig(
-                seed=self.seed,
-                engines=("sequential", "root:2"),
-                budget_scale=self.budget_scale,
-            ),
-            **overrides,
-        )
-
-    @staticmethod
-    def for_tier(tier: str | None = None) -> "StormBenchConfig":
-        resolve_tier(tier)
-        return StormBenchConfig()
-
-
-def run_storm_defended(cfg: StormBenchConfig):
-    """The full defense stack: ladder + hysteresis + autoscaler."""
-    return run_storm(
-        StormConfig(
-            trace=cfg.trace(),
-            n_devices=cfg.n_devices,
-            max_active=cfg.max_active,
-            seed=cfg.seed,
-            overload=True,
-            autoscale={
-                "max_devices": cfg.autoscale_max,
-                "scaleup_lag_s": cfg.scaleup_lag_s,
-            },
-        )
-    )
-
-
-def run_storm_undefended(cfg: StormBenchConfig):
-    """Same trace, no admission control, fixed fleet."""
-    return run_storm(
-        StormConfig(
-            trace=cfg.trace(),
-            n_devices=cfg.n_devices,
-            max_active=cfg.max_active,
-            seed=cfg.seed,
-            overload=None,
-            autoscale=None,
-        )
-    )
+def run_scenario(name: str):
+    """One named storm (``repro.serve.SCENARIOS``) at the report
+    seed; every gate below runs one of these."""
+    config = SCENARIOS[name]()
+    if isinstance(config, ClusterStormConfig):
+        return run_cluster_storm(config)
+    return run_storm(config)
 
 
 def storm_fingerprint(outcome):
@@ -381,28 +301,6 @@ def storm_fingerprint(outcome):
         for rec in outcome.records
     ]
     return arrivals, outcomes
-
-
-def run_storm_cluster_kill(cfg: StormBenchConfig):
-    """A cluster storm whose second epoch kills shard 0 mid-crowd;
-    the per-epoch journals must recover it exactly-once."""
-    trace = cfg.trace(base_rate=150.0, horizon_s=0.3)
-    with tempfile.TemporaryDirectory() as journal_dir:
-        return run_cluster_storm(
-            ClusterStormConfig(
-                trace=trace,
-                epochs=2,
-                initial_shards=2,
-                seed=cfg.seed,
-                journal_dir=journal_dir,
-                crash_epoch=1,
-                service_kwargs=(
-                    ("n_devices", cfg.n_devices),
-                    ("max_active", 8),
-                    ("overload", True),
-                ),
-            )
-        )
 
 
 def render_storm_comparison(defended, undefended) -> str:
@@ -438,177 +336,6 @@ def render_storm_comparison(defended, undefended) -> str:
             "(docs/overload.md)"
         ),
     )
-
-
-@dataclass(frozen=True)
-class RetryStormBenchConfig:
-    """Operating point for the retry-storm (metastability) gate.
-
-    Calibrated so the *base* load is comfortably sustainable (all
-    classes at 100% attainment with no crowd -- the healthy
-    equilibrium exists) while a 10x flash crowd plus aggressive
-    client retries tips the undefended node into the bad
-    equilibrium: queue wait blows every deadline, each miss mints a
-    retry, and offered load stays pinned above goodput long after
-    the crowd has cleared.  Deadlines sit just above the healthy
-    p99, so the trap is queue delay -- not an unmeetable SLO.
-    """
-
-    base_rate: float = 150.0
-    horizon_s: float = 1.0
-    crowd_start_s: float = 0.1
-    crowd_duration_s: float = 0.3
-    crowd: float = 10.0
-    budget_scale: float = 0.25
-    n_devices: int = 2
-    max_active: int = 16
-    max_queue: int = 64
-    #: Detector grace after crowd end before the post-crowd window.
-    settle_s: float = 0.1
-    seed: int = 11
-
-    def clear_s(self) -> float:
-        return self.crowd_start_s + self.crowd_duration_s
-
-    def trace(self, crowd: bool = True) -> TraceConfig:
-        components = (
-            (
-                FlashCrowd(
-                    start_s=self.crowd_start_s,
-                    duration_s=self.crowd_duration_s,
-                    multiplier=self.crowd,
-                ),
-            )
-            if crowd
-            else ()
-        )
-        return TraceConfig(
-            base_rate=self.base_rate,
-            horizon_s=self.horizon_s,
-            seed=self.seed,
-            components=components,
-            class_deadline_s=(
-                ("interactive", 0.1),
-                ("standard", 0.2),
-                ("batch", 0.4),
-            ),
-            workload=WorkloadConfig(
-                seed=self.seed,
-                engines=("sequential", "root:2"),
-                budget_scale=self.budget_scale,
-            ),
-        )
-
-    def retry_policy(self) -> dict:
-        """Aggressive-but-bounded client retries: short exponential
-        backoff, 10 attempts, multi-second patience -- enough
-        feedback gain to sustain the trap."""
-        return dict(
-            kind="exponential",
-            base_s=0.02,
-            cap_s=0.16,
-            jitter=0.3,
-            max_attempts=10,
-            give_up_s=(
-                ("interactive", 2.0),
-                ("standard", 3.0),
-                ("batch", 4.0),
-            ),
-        )
-
-    def clients(self, defended: bool) -> dict:
-        clients = dict(retry=self.retry_policy(), seed=self.seed)
-        if defended:
-            clients["breaker"] = dict(
-                failure_threshold=5, reset_timeout_s=0.1
-            )
-            clients["throttle"] = dict(k=1.5, window=64)
-        return clients
-
-    def detector(self) -> dict:
-        return dict(
-            bin_s=0.05,
-            settle_s=self.settle_s,
-            goodput_frac=0.5,
-            min_offered_rate=40.0,
-        )
-
-    def storm_config(
-        self, defended: bool, crowd: bool = True
-    ) -> StormConfig:
-        return StormConfig(
-            trace=self.trace(crowd=crowd),
-            n_devices=self.n_devices,
-            max_active=self.max_active,
-            max_queue=self.max_queue,
-            seed=self.seed,
-            # The ladder is tuned to *let go* quickly once pressure
-            # clears (small window, early release) -- a sticky ladder
-            # is itself a metastable state.
-            overload=(
-                dict(
-                    max_level=3,
-                    window=16,
-                    release=0.6,
-                    deescalate_after=3,
-                )
-                if defended
-                else None
-            ),
-            clients=self.clients(defended),
-            retry_budget=(
-                dict(fill_per_first_try=0.1, cap=10.0, initial=2.0)
-                if defended
-                else None
-            ),
-            detector=self.detector(),
-        )
-
-    @staticmethod
-    def for_tier(tier: str | None = None) -> "RetryStormBenchConfig":
-        resolve_tier(tier)
-        return RetryStormBenchConfig()
-
-
-def run_retry_storm_defended(cfg: RetryStormBenchConfig):
-    """Closed-loop crowd vs the full defense stack: degradation
-    ladder + retry budget + circuit breakers + adaptive throttle."""
-    return run_storm(cfg.storm_config(defended=True))
-
-
-def run_retry_storm_undefended(cfg: RetryStormBenchConfig):
-    """Same trace and clients, no admission control or defenses."""
-    return run_storm(cfg.storm_config(defended=False))
-
-
-def run_retry_storm_healthy(cfg: RetryStormBenchConfig):
-    """The base load alone (no crowd, no defenses): must be healthy,
-    proving the trap is metastability and not plain overload."""
-    return run_storm(cfg.storm_config(defended=False, crowd=False))
-
-
-def run_retry_storm_hedged_kill(cfg: RetryStormBenchConfig):
-    """A hedged cluster storm whose second epoch kills shard 0
-    mid-crowd: hedged backups and journal recovery must compose --
-    every request served exactly once, all leases drained."""
-    trace = cfg.trace()
-    with tempfile.TemporaryDirectory() as journal_dir:
-        return run_cluster_storm(
-            ClusterStormConfig(
-                trace=trace,
-                epochs=2,
-                initial_shards=2,
-                seed=cfg.seed,
-                journal_dir=journal_dir,
-                crash_epoch=1,
-                hedge=dict(trigger_percentile=90.0),
-                service_kwargs=(
-                    ("n_devices", cfg.n_devices),
-                    ("max_active", 8),
-                    ("overload", True),
-                ),
-            )
-        )
 
 
 def render_retry_storm(healthy, undefended, defended, clear_s) -> str:
@@ -944,10 +671,8 @@ def test_storm_interactive_slo_defended_vs_undefended(run_once):
     defense ladder keeps the interactive SLO while the undefended
     node collapses -- and every request ends in an explicit
     terminal outcome either way."""
-    cfg = StormBenchConfig.for_tier()
-
     def compare():
-        return run_storm_defended(cfg), run_storm_undefended(cfg)
+        return run_scenario("storm"), run_scenario("storm-undefended")
 
     defended, undefended = run_once(compare)
     print()
@@ -966,16 +691,14 @@ def test_storm_interactive_slo_defended_vs_undefended(run_once):
     interactive = defended.per_class["interactive"]
     assert interactive.shed == 0
     assert defended.report.shed > 0
-    assert defended.report.peak_devices > cfg.n_devices
+    assert defended.report.peak_devices > SCENARIOS["storm"]().n_devices
 
 
 def test_storm_replay_bit_identical(run_once):
     """Identical seeds give identical arrivals and identical
     per-request outcomes across two full storm replays."""
-    cfg = StormBenchConfig.for_tier()
-
     def replay():
-        return run_storm_defended(cfg), run_storm_defended(cfg)
+        return run_scenario("storm"), run_scenario("storm")
 
     first, second = run_once(replay)
     assert storm_fingerprint(first) == storm_fingerprint(second)
@@ -984,8 +707,7 @@ def test_storm_replay_bit_identical(run_once):
 def test_storm_cluster_shard_crash_exactly_once(run_once):
     """A shard crash mid-storm is recovered from its journal; no
     request is lost and none is served twice."""
-    cfg = StormBenchConfig.for_tier()
-    outcome = run_once(run_storm_cluster_kill, cfg)
+    outcome = run_once(run_scenario, "storm-cluster-kill")
     rids = [r.request.request_id for r in outcome.records]
     assert len(rids) == len(set(rids)), "request served twice"
     assert len(rids) == len(outcome.requests), "request lost"
@@ -1000,17 +722,15 @@ def test_retry_storm_metastable_differential(run_once):
     defended stack recovers post-crowd interactive attainment -- and
     the base load alone is provably healthy, so the trap is
     metastability, not plain overload."""
-    cfg = RetryStormBenchConfig.for_tier()
-
     def compare():
         return (
-            run_retry_storm_healthy(cfg),
-            run_retry_storm_undefended(cfg),
-            run_retry_storm_defended(cfg),
+            run_scenario("retry-storm-healthy"),
+            run_scenario("retry-storm-undefended"),
+            run_scenario("retry-storm"),
         )
 
     healthy, undefended, defended = run_once(compare)
-    clear_s = cfg.clear_s() + cfg.settle_s
+    clear_s = SCENARIOS["retry-storm"]().post_crowd_s()
     print()
     print(
         render_retry_storm(healthy, undefended, defended, clear_s)
@@ -1050,14 +770,12 @@ def test_retry_storm_replay_bit_identical(run_once):
     """Closed-loop storms -- retries, breakers, jitter and all --
     replay bit-identically from one seed, on both sides of the
     differential."""
-    cfg = RetryStormBenchConfig.for_tier()
-
     def replay():
         return (
-            run_retry_storm_undefended(cfg),
-            run_retry_storm_undefended(cfg),
-            run_retry_storm_defended(cfg),
-            run_retry_storm_defended(cfg),
+            run_scenario("retry-storm-undefended"),
+            run_scenario("retry-storm-undefended"),
+            run_scenario("retry-storm"),
+            run_scenario("retry-storm"),
         )
 
     u1, u2, d1, d2 = run_once(replay)
@@ -1071,8 +789,7 @@ def test_retry_storm_hedged_cluster_crash_exactly_once(run_once):
     request ends in exactly one explicit terminal outcome (the
     run_cluster_storm harness asserts explicit outcomes and each
     shard asserts its leases drained)."""
-    cfg = RetryStormBenchConfig.for_tier()
-    outcome = run_once(run_retry_storm_hedged_kill, cfg)
+    outcome = run_once(run_scenario, "retry-storm-hedged-kill")
     rids = [r.request.request_id for r in outcome.records]
     assert len(rids) == len(set(rids)), "request served twice"
     assert len(rids) == len(outcome.requests), "request lost"
@@ -1082,11 +799,10 @@ def test_retry_storm_hedged_cluster_crash_exactly_once(run_once):
 
 
 def _retry_storm_main(smoke: bool) -> int:  # pragma: no cover
-    cfg = RetryStormBenchConfig.for_tier("quick" if smoke else None)
-    healthy = run_retry_storm_healthy(cfg)
-    undefended = run_retry_storm_undefended(cfg)
-    defended = run_retry_storm_defended(cfg)
-    clear_s = cfg.clear_s() + cfg.settle_s
+    healthy = run_scenario("retry-storm-healthy")
+    undefended = run_scenario("retry-storm-undefended")
+    defended = run_scenario("retry-storm")
+    clear_s = SCENARIOS["retry-storm"]().post_crowd_s()
     print(render_retry_storm(healthy, undefended, defended, clear_s))
     if healthy.attainment("interactive") < 0.99:
         print("FAIL: base load alone is not healthy")
@@ -1114,11 +830,11 @@ def _retry_storm_main(smoke: bool) -> int:  # pragma: no cover
             f"< 95%"
         )
         return 1
-    replay = run_retry_storm_undefended(cfg)
+    replay = run_scenario("retry-storm-undefended")
     if storm_fingerprint(replay) != storm_fingerprint(undefended):
         print("FAIL: retry storm replay is not bit-identical")
         return 1
-    kill = run_retry_storm_hedged_kill(cfg)
+    kill = run_scenario("retry-storm-hedged-kill")
     rids = [r.request.request_id for r in kill.records]
     if len(rids) != len(set(rids)) or len(rids) != len(kill.requests):
         print("FAIL: hedged shard crash lost or duplicated requests")
@@ -1147,9 +863,8 @@ def _retry_storm_main(smoke: bool) -> int:  # pragma: no cover
 
 
 def _storm_main(smoke: bool) -> int:  # pragma: no cover
-    cfg = StormBenchConfig.for_tier("quick" if smoke else None)
-    defended = run_storm_defended(cfg)
-    undefended = run_storm_undefended(cfg)
+    defended = run_scenario("storm")
+    undefended = run_scenario("storm-undefended")
     print(render_storm_comparison(defended, undefended))
     d_int = defended.attainment("interactive")
     u_int = undefended.attainment("interactive")
@@ -1165,11 +880,11 @@ def _storm_main(smoke: bool) -> int:  # pragma: no cover
             f"{u_int:.1%} >= 50% -- storm is not overloading"
         )
         return 1
-    replay = run_storm_defended(cfg)
+    replay = run_scenario("storm")
     if storm_fingerprint(replay) != storm_fingerprint(defended):
         print("FAIL: storm replay is not bit-identical")
         return 1
-    kill = run_storm_cluster_kill(cfg)
+    kill = run_scenario("storm-cluster-kill")
     rids = [r.request.request_id for r in kill.records]
     if len(rids) != len(set(rids)) or len(rids) != len(kill.requests):
         print("FAIL: shard crash lost or duplicated requests")

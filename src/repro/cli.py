@@ -6,7 +6,8 @@
     python -m repro run fig5_speed --tier quick # run one, print table
     python -m repro play --engine block:16x32   # GPU MCTS vs greedy
     python -m repro devices                     # virtual device specs
-    python -m repro serve-bench --requests 64   # batched service bench
+    python -m repro serve-bench --loads 64      # batched service bench
+    python -m repro serve-bench --scenario storm  # a named storm
 """
 
 from __future__ import annotations
@@ -98,218 +99,72 @@ def _cmd_devices(_args) -> int:
     return 0
 
 
-def _budget_scale(args, default: float) -> float:
-    """--budget-scale with a per-mode default (the retry-storm
-    operating point is calibrated at 0.25; everything else at 1.0)."""
-    return default if args.budget_scale is None else args.budget_scale
-
-
-def _devices(args, default: int) -> int:
-    """--devices with a per-mode default (the retry-storm operating
-    point is calibrated at 2 devices; everything else at 4)."""
-    return default if args.devices is None else args.devices
-
-
-def _max_active(args, default: int) -> int:
-    """--max-active with a per-mode default (the retry-storm
-    operating point is calibrated at 16; everything else at 64)."""
-    return default if args.max_active is None else args.max_active
-
-
-def _cmd_serve_bench_storm(args) -> int:
+def _cmd_serve_bench_scenario(args) -> int:
     from repro.serve import (
-        FlashCrowd,
+        SCENARIOS,
         StormConfig,
-        TraceConfig,
-        WorkloadConfig,
-        run_storm,
-    )
-
-    t0 = time.perf_counter()
-    horizon = (
-        0.6 if args.storm_horizon is None else args.storm_horizon
-    )
-    rate = 450.0 if args.storm_rate is None else args.storm_rate
-    crowd = 4.0 if args.storm_crowd is None else args.storm_crowd
-    workload = WorkloadConfig(
-        seed=args.seed,
-        engines=("sequential", "root:2"),
-        budget_scale=_budget_scale(args, 1.0),
-        backend=args.backend,
-        playout=args.playout,
-        position_skew=args.skew,
-        position_pool=args.position_pool,
-    )
-    trace = TraceConfig(
-        base_rate=rate,
-        horizon_s=horizon,
-        seed=args.seed,
-        components=(
-            FlashCrowd(
-                start_s=horizon * 0.15,
-                duration_s=horizon * 0.5,
-                multiplier=crowd,
-            ),
-        ),
-        class_deadline_s=(
-            ("interactive", 0.1),
-            ("standard", 0.3),
-            ("batch", 1.0),
-        ),
-        workload=workload,
-    )
-    autoscale = (
-        {"max_devices": args.autoscale_max, "scaleup_lag_s": 0.03}
-        if args.autoscale_max
-        else None
-    )
-    outcome = run_storm(
-        StormConfig(
-            trace=trace,
-            n_devices=_devices(args, 4),
-            max_active=_max_active(args, 64),
-            seed=args.seed,
-            overload=None if args.no_overload else True,
-            autoscale=autoscale,
-            faults=args.faults,
-            journal=args.journal,
-        )
-    )
-    defended = "undefended" if args.no_overload else "defended"
-    print(
-        f"--- storm: {len(outcome.requests)} arrivals over "
-        f"{horizon:.2f}s, {crowd:.0f}x flash crowd, "
-        f"{defended} ---"
-    )
-    print(outcome.report.render(f"storm run ({defended})"))
-    if outcome.crashes:
-        print(
-            f"crashes: {outcome.crashes}  recoveries: "
-            f"{outcome.recoveries}  MTTR: {outcome.mttr_s:.4f}s"
-        )
-    print(
-        f"[serve-bench took {time.perf_counter() - t0:.1f}s wall]"
-    )
-    return 0
-
-
-def _cmd_serve_bench_retry_storm(args) -> int:
-    from repro.serve import (
-        FlashCrowd,
-        StormConfig,
-        TraceConfig,
-        WorkloadConfig,
         post_crowd_attainment,
+        run_cluster_storm,
         run_storm,
     )
+    from repro.serve.metrics import class_rows, render_metric_rows
 
+    build = SCENARIOS.get(args.scenario)
+    if build is None:
+        print(
+            f"serve-bench: unknown --scenario {args.scenario!r}; "
+            f"choose from: {', '.join(SCENARIOS)}",
+            file=sys.stderr,
+        )
+        return 2
+    defaults = vars(build_parser().parse_args(["serve-bench"]))
+    for name, value in vars(args).items():
+        if name not in ("scenario", "seed") and value != defaults[name]:
+            print(
+                f"serve-bench: --{name.replace('_', '-')} is not "
+                f"supported with --scenario (a scenario fixes the "
+                f"whole operating point; only --seed varies)",
+                file=sys.stderr,
+            )
+            return 2
     t0 = time.perf_counter()
-    # Calibrated retry-storm operating point (see
-    # benchmarks/REPORT_retrystorm.md): base load sustainable, crowd
-    # 10x, deadlines just above the healthy tail.
-    horizon = (
-        1.0 if args.storm_horizon is None else args.storm_horizon
-    )
-    rate = 150.0 if args.storm_rate is None else args.storm_rate
-    crowd = 10.0 if args.storm_crowd is None else args.storm_crowd
-    crowd_start = horizon * 0.1
-    crowd_duration = horizon * 0.3
-    trace = TraceConfig(
-        base_rate=rate,
-        horizon_s=horizon,
-        seed=args.seed,
-        components=(
-            FlashCrowd(
-                start_s=crowd_start,
-                duration_s=crowd_duration,
-                multiplier=crowd,
-            ),
-        ),
-        class_deadline_s=(
-            ("interactive", 0.1),
-            ("standard", 0.2),
-            ("batch", 0.4),
-        ),
-        workload=WorkloadConfig(
-            seed=args.seed,
-            engines=("sequential", "root:2"),
-            budget_scale=_budget_scale(args, 0.25),
-            backend=args.backend,
-            playout=args.playout,
-        ),
-    )
-    clients = dict(
-        retry=dict(
-            kind=args.retry_kind,
-            base_s=args.retry_base,
-            cap_s=max(args.retry_base * 8, args.retry_base),
-            jitter=0.3,
-            max_attempts=args.retry_attempts,
-            give_up_s=(
-                ("interactive", 2.0),
-                ("standard", 3.0),
-                ("batch", 4.0),
-            ),
-        ),
-        seed=args.seed if args.client_seed is None else args.client_seed,
-    )
-    if not args.no_breaker:
-        clients["breaker"] = dict(
-            failure_threshold=5, reset_timeout_s=0.1
+    config = build() if args.seed is None else build(args.seed)
+    title = f"{args.scenario} (seed {config.seed})"
+    if isinstance(config, StormConfig):
+        outcome = run_storm(config)
+        print(
+            f"--- {title}: {len(outcome.requests)} arrivals over "
+            f"{config.trace.horizon_s:.2f}s ---"
         )
-    if not args.no_throttle:
-        clients["throttle"] = dict(k=1.5, window=64)
-    outcome = run_storm(
-        StormConfig(
-            trace=trace,
-            n_devices=_devices(args, 2),
-            max_active=_max_active(args, 16),
-            max_queue=64,
-            seed=args.seed,
-            overload=(
-                None
-                if args.no_overload
-                else dict(
-                    max_level=3,
-                    window=16,
-                    release=0.6,
-                    deescalate_after=3,
-                )
+        print(outcome.report.render(title))
+        verdict = outcome.metastability
+        if verdict is not None:
+            attainment = post_crowd_attainment(
+                outcome.records, config.post_crowd_s()
+            )
+            state = "TRAPPED" if verdict.trapped else "recovered"
+            print(
+                f"metastability: {state} "
+                f"({verdict.trapped_bins} consecutive trapped bins, "
+                f"post-crowd goodput/offered "
+                f"{verdict.goodput_ratio:.2f}, "
+                f"post-crowd interactive SLO {attainment:.0%})"
+            )
+    else:
+        outcome = run_cluster_storm(config)
+        rows = {
+            "requests": str(len(outcome.records)),
+            "shards per epoch": ",".join(map(str, outcome.shard_counts)),
+            "hedges fired": str(
+                sum(r.hedges_fired for r in outcome.reports)
             ),
-            retry_budget=(
-                None
-                if args.no_budget
-                else dict(
-                    fill_per_first_try=0.1, cap=10.0, initial=2.0
-                )
+            "crashes / recoveries": (
+                f"{outcome.crashes} / {outcome.recoveries}"
             ),
-            clients=clients,
-            detector=dict(
-                bin_s=0.05,
-                settle_s=0.1,
-                goodput_frac=0.5,
-                min_offered_rate=40.0,
-            ),
-        )
-    )
-    report = outcome.report
-    defended = "undefended" if args.no_overload else "defended"
-    print(
-        f"--- retry storm: {report.first_tries} first tries + "
-        f"{report.retries_offered} retries over {horizon:.2f}s, "
-        f"{crowd:.0f}x flash crowd, {defended} ---"
-    )
-    print(report.render(f"retry storm ({defended})"))
-    verdict = outcome.metastability
-    clear_s = crowd_start + crowd_duration + 0.1
-    attainment = post_crowd_attainment(outcome.records, clear_s)
-    state = "TRAPPED" if verdict.trapped else "recovered"
-    print(
-        f"metastability: {state} "
-        f"({verdict.trapped_bins} consecutive trapped bins, "
-        f"post-crowd goodput/offered {verdict.goodput_ratio:.2f}, "
-        f"post-crowd interactive SLO {attainment:.0%})"
-    )
+            "mean MTTR (s)": f"{outcome.mean_mttr_s:.4f}",
+        }
+        rows.update(class_rows(outcome.per_class))
+        print(render_metric_rows(title, rows))
     print(
         f"[serve-bench took {time.perf_counter() - t0:.1f}s wall]"
     )
@@ -325,7 +180,7 @@ def _cmd_serve_bench_cluster(args) -> int:
             WorkloadConfig(
                 n_requests=load,
                 seed=args.seed,
-                budget_scale=_budget_scale(args, 1.0),
+                budget_scale=args.budget_scale,
                 deadline_s=args.deadline,
                 backend=args.backend,
                 playout=args.playout,
@@ -339,8 +194,8 @@ def _cmd_serve_bench_cluster(args) -> int:
             seed=args.seed,
             cache=not args.no_cache,
             journal_dir=args.journal,
-            n_devices=_devices(args, 4),
-            max_active=_max_active(args, 64),
+            n_devices=args.devices,
+            max_active=args.max_active,
             faults=args.faults,
             backend=args.backend,
             playout=args.playout,
@@ -368,41 +223,10 @@ def _cmd_serve_bench(args) -> int:
 
     from repro.util.profile import NULL_PROFILER, Profiler
 
-    if args.retry_storm:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.trace_out, "--trace-out"),
-            (args.profile, "--profile"),
-            (args.no_defenses, "--no-defenses"),
-            (args.cluster, "--cluster"),
-            (args.storm, "--storm"),
-            (args.faults, "--faults"),
-            (args.journal, "--journal"),
-        ):
-            if flag:
-                print(
-                    f"serve-bench: {name} is not supported with "
-                    f"--retry-storm",
-                    file=sys.stderr,
-                )
-                return 2
-        return _cmd_serve_bench_retry_storm(args)
-    if args.storm:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.trace_out, "--trace-out"),
-            (args.profile, "--profile"),
-            (args.no_defenses, "--no-defenses"),
-            (args.cluster, "--cluster"),
-        ):
-            if flag:
-                print(
-                    f"serve-bench: {name} is not supported with "
-                    f"--storm",
-                    file=sys.stderr,
-                )
-                return 2
-        return _cmd_serve_bench_storm(args)
+    if args.scenario is not None:
+        return _cmd_serve_bench_scenario(args)
+    if args.seed is None:
+        args.seed = 2011
     if args.cluster:
         for flag, name in (
             (args.resume, "--resume"),
@@ -438,8 +262,8 @@ def _cmd_serve_bench(args) -> int:
 
                 integrity = IntegrityPolicy.disabled()
             service_kwargs = dict(
-                n_devices=_devices(args, 4),
-                max_active=_max_active(args, 64),
+                n_devices=args.devices,
+                max_active=args.max_active,
                 seed=args.seed,
                 tracer=tracer,
                 faults=args.faults,
@@ -467,7 +291,7 @@ def _cmd_serve_bench(args) -> int:
                         WorkloadConfig(
                             n_requests=load,
                             seed=args.seed,
-                            budget_scale=_budget_scale(args, 1.0),
+                            budget_scale=args.budget_scale,
                             deadline_s=args.deadline,
                             backend=args.backend,
                             playout=args.playout,
@@ -604,17 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=(64,),
         help="comma-separated offered loads (requests per run)",
     )
-    bench.add_argument("--devices", type=int, default=None)
-    bench.add_argument("--max-active", type=int, default=None)
+    bench.add_argument("--devices", type=int, default=4)
+    bench.add_argument("--max-active", type=int, default=64)
     bench.add_argument(
         "--budget-scale",
         type=float,
-        default=None,
-        help=(
-            "scale per-request search budgets (default 1.0; "
-            "0.25 with --retry-storm, its calibrated operating "
-            "point)"
-        ),
+        default=1.0,
+        help="scale per-request search budgets",
     )
     bench.add_argument(
         "--deadline",
@@ -622,7 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="relative per-request deadline in virtual seconds",
     )
-    bench.add_argument("--seed", type=int, default=2011)
+    bench.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="default 2011; with --scenario, the scenario's own (11)",
+    )
     bench.add_argument(
         "--faults",
         type=_fault_plan,
@@ -744,125 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
-        "--storm",
-        action="store_true",
-        help=(
-            "fire an open-loop flash-crowd storm (Poisson arrivals, "
-            "priority classes, overload controller) instead of the "
-            "closed workload; see docs/overload.md"
-        ),
-    )
-    bench.add_argument(
-        "--storm-rate",
-        type=float,
+        "--scenario",
         default=None,
-        metavar="R",
+        metavar="NAME",
         help=(
-            "with --storm / --retry-storm: baseline arrival rate "
-            "(requests/s; default 450 storm, 150 retry-storm)"
-        ),
-    )
-    bench.add_argument(
-        "--storm-horizon",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "with --storm / --retry-storm: trace horizon in virtual "
-            "seconds (default 0.6 storm, 1.0 retry-storm)"
-        ),
-    )
-    bench.add_argument(
-        "--storm-crowd",
-        type=float,
-        default=None,
-        metavar="M",
-        help=(
-            "with --storm / --retry-storm: flash-crowd rate "
-            "multiplier (default 4 storm, 10 retry-storm)"
-        ),
-    )
-    bench.add_argument(
-        "--retry-storm",
-        action="store_true",
-        help=(
-            "fire a closed-loop retry storm: every shed/rejected/"
-            "missed outcome is retried by seeded clients, and the "
-            "defense stack (ladder + retry budget + breakers + "
-            "throttle) is measured against the metastable trap; see "
-            "docs/overload.md"
-        ),
-    )
-    bench.add_argument(
-        "--retry-kind",
-        choices=("none", "immediate", "fixed", "exponential"),
-        default="exponential",
-        help="with --retry-storm: client backoff kind",
-    )
-    bench.add_argument(
-        "--retry-attempts",
-        type=int,
-        default=10,
-        metavar="N",
-        help="with --retry-storm: max attempts per request lineage",
-    )
-    bench.add_argument(
-        "--retry-base",
-        type=float,
-        default=0.02,
-        metavar="S",
-        help="with --retry-storm: base backoff in virtual seconds",
-    )
-    bench.add_argument(
-        "--client-seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "with --retry-storm: seed for the client population's "
-            "jitter/throttle streams (default: --seed)"
-        ),
-    )
-    bench.add_argument(
-        "--no-breaker",
-        action="store_true",
-        help=(
-            "with --retry-storm: disable the per-client circuit "
-            "breakers"
-        ),
-    )
-    bench.add_argument(
-        "--no-throttle",
-        action="store_true",
-        help=(
-            "with --retry-storm: disable client-side adaptive "
-            "throttling"
-        ),
-    )
-    bench.add_argument(
-        "--no-budget",
-        action="store_true",
-        help=(
-            "with --retry-storm: disable the server-side retry "
-            "budget (token-bucket admission for retries)"
-        ),
-    )
-    bench.add_argument(
-        "--no-overload",
-        action="store_true",
-        help=(
-            "with --storm: run undefended (no admission control, "
-            "no shedding) -- for measuring what the ladder buys"
-        ),
-    )
-    bench.add_argument(
-        "--autoscale-max",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "with --storm: let the autoscaler grow the device fleet "
-            "up to N devices (0 = fixed fleet)"
+            "fire a named storm preset (repro.serve.SCENARIOS; an "
+            "unknown name lists them) instead of the closed "
+            "workload; see docs/overload.md"
         ),
     )
     bench.set_defaults(func=_cmd_serve_bench)

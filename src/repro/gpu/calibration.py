@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from scipy.optimize import brentq
-
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelSpec, LaunchConfig
 from repro.gpu.timing import peak_playout_rate
@@ -37,8 +35,8 @@ def fit_cycles_per_step(
 
     ``latency_ratio`` fixes ``latency_cycles_per_step`` as a multiple
     of the fitted value (default: keep the kernel's current ratio).
-    Monotonicity (more cycles -> slower) makes this a bracketed
-    root-find.
+    Monotonicity (more cycles -> slower) makes this a bisection
+    over ``bounds``.
     """
     if target_rate <= 0:
         raise CalibrationError(
@@ -75,7 +73,15 @@ def fit_cycles_per_step(
             f"target {target_rate:.3g} playouts/s is exceeded even at "
             f"{hi} cycles/step; widen bounds"
         )
-    return float(brentq(lambda c: rate_at(c) - target_rate, lo, hi))
+    # Halve the bracket until the floats run out between its ends.
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if rate_at(mid) > target_rate:
+            lo = mid
+        else:
+            hi = mid
 
 
 def calibrated_kernel(

@@ -122,6 +122,8 @@ from repro.serve.service import (
     supports_search_steps,
 )
 from repro.serve.storm import (
+    REPORT_SEED,
+    SCENARIOS,
     ClusterStormConfig,
     ClusterStormOutcome,
     SilentOutcomeError,
@@ -208,6 +210,8 @@ __all__ = [
     "ClusterStormOutcome",
     "run_storm",
     "run_cluster_storm",
+    "SCENARIOS",
+    "REPORT_SEED",
     "assert_explicit_outcomes",
     "SilentOutcomeError",
     "ClientRetryPolicy",

@@ -43,9 +43,7 @@ from repro.games import make_game
 from repro.games.base import Game, GameState
 
 #: Virtual cost of answering a request from the result cache (lookup
-#: + response serialisation; no search, no device time).  Shared by
-#: the cluster router and the single-service cache path so a hit
-#: costs the same wherever it is served.
+#: + response serialisation; no search, no device time).
 CACHE_HIT_COST_S = 2e-5
 
 

@@ -304,14 +304,6 @@ class ServiceReport:
     budget_rejected: int = 0
     #: Per-tenant in-class fairness-cap evictions.
     fairness_evictions: int = 0
-    #: Single-service result-cache accounting (the cluster's cache
-    #: reports through ClusterReport instead).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_expirations: int = 0
-    cache_stale_hits: int = 0
-    cache_sweeps: int = 0
 
     @property
     def requests_per_s(self) -> float:
@@ -435,18 +427,6 @@ class ServiceReport:
             rows["retry budget rejected"] = str(self.budget_rejected)
         if self.fairness_evictions:
             rows["fairness evictions"] = str(self.fairness_evictions)
-        if self.cache_hits or self.cache_misses:
-            lookups = self.cache_hits + self.cache_misses
-            rows["cache hits"] = (
-                f"{self.cache_hits} "
-                f"({self.cache_hits / lookups * 100:.0f}%)"
-            )
-            rows["cache misses"] = str(self.cache_misses)
-            rows["cache evictions"] = str(self.cache_evictions)
-            rows["cache expirations"] = str(self.cache_expirations)
-            if self.cache_stale_hits:
-                rows["cache stale hits"] = str(self.cache_stale_hits)
-            rows["cache sweeps"] = str(self.cache_sweeps)
         if self.recovered or self.resumed or self.restarted:
             rows["recovered (adopted)"] = str(self.recovered)
             rows["resumed from checkpoint"] = str(self.resumed)
@@ -498,12 +478,6 @@ def summarize(
     budget_granted: int = 0,
     budget_rejected: int = 0,
     fairness_evictions: int = 0,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
-    cache_evictions: int = 0,
-    cache_expirations: int = 0,
-    cache_stale_hits: int = 0,
-    cache_sweeps: int = 0,
 ) -> ServiceReport:
     """Fold a run's request records into a :class:`ServiceReport`."""
     latencies = [
@@ -564,12 +538,6 @@ def summarize(
         budget_granted=budget_granted,
         budget_rejected=budget_rejected,
         fairness_evictions=fairness_evictions,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        cache_evictions=cache_evictions,
-        cache_expirations=cache_expirations,
-        cache_stale_hits=cache_stale_hits,
-        cache_sweeps=cache_sweeps,
         elapsed_s=elapsed_s,
         p50_latency_s=p50,
         p95_latency_s=p95,

@@ -64,7 +64,6 @@ from repro.gpu.lease import DevicePool
 from repro.gpu.trace import Tracer
 from repro.integrity import IntegrityPolicy, IntegrityState
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig
-from repro.serve.cache import CACHE_HIT_COST_S, ResultCache
 from repro.serve.clients import ClientPopulation, RetryBudget
 from repro.serve.journal import JournalWriter, read_journal
 from repro.serve.metrics import ServiceReport, percentile, summarize
@@ -159,8 +158,6 @@ class SearchService:
         autoscale: "AutoscalerConfig | dict | bool | None" = None,
         clients: "ClientPopulation | dict | bool | None" = None,
         retry_budget: "RetryBudget | dict | bool | None" = None,
-        cache: "ResultCache | dict | bool | None" = None,
-        cache_sweep_every_s: float | None = None,
     ) -> None:
         if max_active <= 0:
             raise ValueError(f"max_active must be positive: {max_active}")
@@ -203,21 +200,6 @@ class SearchService:
         #: retries (recognised by attempt lineage on request ids);
         #: first-tries are never charged.
         self.retry_budget = RetryBudget.coerce(retry_budget)
-        #: Single-service result cache (the cluster has its own at the
-        #: router): duplicate positions answered at admission for
-        #: ``CACHE_HIT_COST_S``, completions inserted, entries aged
-        #: out by periodic sweeps on the virtual clock.
-        self.cache = ResultCache.coerce(cache)
-        if cache_sweep_every_s is not None and cache_sweep_every_s <= 0:
-            raise ValueError(
-                f"cache_sweep_every_s must be positive: "
-                f"{cache_sweep_every_s}"
-            )
-        self.cache_sweep_every_s = cache_sweep_every_s
-        #: Cache sweeps actually performed during the run.
-        self.cache_sweeps = 0
-        #: Requests answered straight from the result cache.
-        self.cache_served = 0
         #: Queued requests shed by the per-tenant in-class fairness
         #: cap (``OverloadPolicy.tenant_queue_frac``).
         self.fairness_evictions = 0
@@ -515,50 +497,6 @@ class SearchService:
         record.result = result
         record.finish_s = self.clock.now
         active.pop(record.request.request_id, None)
-        if (
-            status == COMPLETED
-            and result is not None
-            and self.cache is not None
-            and not record.extras.get("cache_hit")
-        ):
-            req = record.request
-            game = self._game(req.game)
-            state = (
-                req.state
-                if req.state is not None
-                else game.initial_state()
-            )
-            self.cache.insert(
-                self.cache.key_for(req), state, result, self.clock.now
-            )
-        self._observe_outcome(record)
-        self._journal_terminal(record)
-        self._client_outcome(record)
-
-    def _serve_cache_hit(self, record: RequestRecord, entry) -> None:
-        """Answer a request straight from the result cache at
-        admission: no slot, no queue, no device time -- just the
-        modelled lookup/serialisation cost.  A hit whose deadline
-        cannot even cover that cost is still a miss (stale deadlines
-        do not resurrect)."""
-        req = record.request
-        now = self.clock.now
-        finish = now + CACHE_HIT_COST_S
-        record.extras["cache_hit"] = True
-        deadline = req.absolute_deadline_s
-        if (
-            self.enforce_deadlines
-            and deadline is not None
-            and finish > deadline
-        ):
-            record.status = MISSED
-            record.finish_s = finish
-        else:
-            record.status = COMPLETED
-            record.result = entry.result
-            record.start_s = now
-            record.finish_s = finish
-        self.cache_served += 1
         self._observe_outcome(record)
         self._journal_terminal(record)
         self._client_outcome(record)
@@ -816,22 +754,6 @@ class SearchService:
                     continue
                 self._activate(record, active, gen_pool)
 
-        # Periodic cache age-out on the virtual clock (the cluster
-        # sweeps at wave boundaries; a standalone service sweeps on
-        # its own cadence -- default one TTL -- so idle lulls actually
-        # empty the cache instead of leaving corpses to expire lazily
-        # at lookup).
-        sweep_every = None
-        if self.cache is not None:
-            sweep_every = (
-                self.cache_sweep_every_s
-                if self.cache_sweep_every_s is not None
-                else self.cache.ttl_s
-            )
-        next_sweep = (
-            sweep_every if sweep_every is not None else float("inf")
-        )
-
         while arrivals or queued_total() or active:
             now = self.clock.now
             # Idle service: jump to the next arrival.
@@ -840,10 +762,6 @@ class SearchService:
                 if next_arrival > now:
                     self.clock.advance_to(next_arrival)
                     now = self.clock.now
-            if now >= next_sweep:
-                self.cache.sweep(now)
-                self.cache_sweeps += 1
-                next_sweep = now + sweep_every
 
             # Admission: activate, queue, shed, or reject in arrival
             # order.  Under a policy every arrival goes through the
@@ -854,16 +772,6 @@ class SearchService:
                 record = self._records[heapq.heappop(arrivals)[1]]
                 priority = record.request.priority
                 rid = record.request.request_id
-                # Result cache consult: a duplicate position is
-                # answered on the spot -- no slot, no queue, no
-                # device time.
-                if self.cache is not None:
-                    entry = self.cache.lookup(
-                        self.cache.key_for(record.request), now
-                    )
-                    if entry is not None:
-                        self._serve_cache_hit(record, entry)
-                        continue
                 # Server-side retry budget: a retry (attempt lineage
                 # on the id) must win a token at the front door;
                 # first-tries are never charged and refill the bucket.
@@ -1108,9 +1016,6 @@ class SearchService:
         # run must have been synchronized, completed, or abandoned.
         self.pool.assert_drained()
         self._arrivals = None
-        if self.cache is not None and sweep_every is not None:
-            self.cache.sweep(self.clock.now)
-            self.cache_sweeps += 1
         return list(self._records)
 
     # -- crash recovery ----------------------------------------------------
@@ -1319,26 +1224,6 @@ class SearchService:
                 else 0
             ),
             fairness_evictions=self.fairness_evictions,
-            cache_hits=(
-                self.cache.hits if self.cache is not None else 0
-            ),
-            cache_misses=(
-                self.cache.misses if self.cache is not None else 0
-            ),
-            cache_evictions=(
-                self.cache.evictions if self.cache is not None else 0
-            ),
-            cache_expirations=(
-                self.cache.expirations
-                if self.cache is not None
-                else 0
-            ),
-            cache_stale_hits=(
-                self.cache.stale_hits
-                if self.cache is not None
-                else 0
-            ),
-            cache_sweeps=self.cache_sweeps,
         )
 
 

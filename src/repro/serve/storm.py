@@ -22,12 +22,18 @@ the shard count between epochs with the
 :class:`~repro.serve.autoscale.ShardAutoscaler` (consistent hashing
 keeps most keys in place across a resize) and optionally crashing a
 shard mid-storm.
+
+:data:`SCENARIOS` names every storm that a benchmark report quotes.
+The CLI (``serve-bench --scenario NAME``), the benchmark gates and the
+tests all build their configs from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from repro.faults import FaultPlan
 from repro.serve.autoscale import (
@@ -63,6 +69,7 @@ from repro.serve.request import (
     TERMINAL_STATUSES,
 )
 from repro.serve.service import SearchService, ServiceCrash
+from repro.serve.workload import WorkloadConfig
 
 
 class SilentOutcomeError(AssertionError):
@@ -129,6 +136,13 @@ class StormConfig:
             ),
             default=0.0,
         )
+
+    def post_crowd_s(self) -> float:
+        """Start of the post-crowd window: the crowd's end plus the
+        detector's settle time (0 without a detector)."""
+        detector = MetastabilityDetector.coerce(self.detector)
+        settle_s = detector.settle_s if detector is not None else 0.0
+        return self.crowd_clear_s() + settle_s
 
 
 @dataclass
@@ -240,9 +254,11 @@ class ClusterStormConfig:
     cache: "dict | bool | None" = None
     #: Cluster-level hedged requests (``None`` -> no hedging).
     hedge: "HedgePolicy | dict | bool | None" = None
+    #: Per-epoch journal root (``None`` with a ``crash_epoch`` -> a
+    #: temporary directory, removed after the run).
     journal_dir: "str | Path | None" = None
     #: Epoch in which shard 0's fault plan fires (``None`` -> no
-    #: crash); needs ``journal_dir`` to recover.
+    #: crash).
     crash_epoch: "int | None" = None
     crash_faults: str = "crash=tick:3"
     #: Extra per-shard ``SearchService`` kwargs as pairs.
@@ -257,10 +273,6 @@ class ClusterStormConfig:
             raise ValueError(
                 f"initial_shards must be positive: "
                 f"{self.initial_shards}"
-            )
-        if self.crash_epoch is not None and self.journal_dir is None:
-            raise ValueError(
-                "a crash_epoch needs a journal_dir to recover from"
             )
 
 
@@ -297,6 +309,11 @@ def run_cluster_storm(
     recovers from its own journal -- requests of a crashed shard are
     still served exactly once.
     """
+    if config.crash_epoch is not None and config.journal_dir is None:
+        with tempfile.TemporaryDirectory() as journal_dir:
+            return run_cluster_storm(
+                replace(config, journal_dir=journal_dir)
+            )
     requests = make_trace(config.trace)
     epoch_len = config.trace.horizon_s / config.epochs
     scaler = (
@@ -378,3 +395,186 @@ def run_cluster_storm(
         recoveries=recoveries,
         mean_mttr_s=sum(mttrs) / len(mttrs) if mttrs else 0.0,
     )
+
+
+# -- named scenarios ---------------------------------------------------
+
+#: Seed of every storm quoted in the benchmark reports.
+REPORT_SEED = 11
+
+
+def _trace(
+    seed: int,
+    base_rate: float,
+    horizon_s: float,
+    crowd: "FlashCrowd | None",
+    deadlines: "tuple[float, float, float]",
+) -> TraceConfig:
+    return TraceConfig(
+        base_rate=base_rate,
+        horizon_s=horizon_s,
+        seed=seed,
+        components=(crowd,) if crowd is not None else (),
+        class_deadline_s=tuple(
+            zip(("interactive", "standard", "batch"), deadlines)
+        ),
+        workload=WorkloadConfig(
+            seed=seed,
+            engines=("sequential", "root:2"),
+            budget_scale=0.25,
+        ),
+    )
+
+
+def _storm_trace(seed: int, base_rate=450.0, horizon_s=0.6):
+    """A 4x flash crowd over 0.1-0.5 s, peaking ~4x beyond what a
+    2-device node sustains."""
+    return _trace(
+        seed,
+        base_rate,
+        horizon_s,
+        FlashCrowd(start_s=0.1, duration_s=0.4, multiplier=4.0),
+        (0.1, 0.3, 1.0),
+    )
+
+
+def _retry_trace(seed: int, crowd: bool = True) -> TraceConfig:
+    """Sustainable base load plus a 10x crowd over 0.1-0.4 s; the
+    deadlines sit just above the healthy latency tail."""
+    return _trace(
+        seed,
+        150.0,
+        1.0,
+        (
+            FlashCrowd(start_s=0.1, duration_s=0.3, multiplier=10.0)
+            if crowd
+            else None
+        ),
+        (0.1, 0.2, 0.4),
+    )
+
+
+def _storm(seed: int = REPORT_SEED, defended: bool = True) -> StormConfig:
+    """REPORT_overload: the 4x crowd on a 2-device node, defended by
+    the ladder and an autoscaler (up to 8 devices), or undefended (no
+    admission control, fixed fleet)."""
+    return StormConfig(
+        trace=_storm_trace(seed),
+        n_devices=2,
+        max_active=32,
+        seed=seed,
+        overload=True if defended else None,
+        autoscale=(
+            {"max_devices": 8, "scaleup_lag_s": 0.03}
+            if defended
+            else None
+        ),
+    )
+
+
+def _storm_cluster_kill(seed: int = REPORT_SEED) -> ClusterStormConfig:
+    """REPORT_overload: a lighter storm on 2 shards whose second epoch
+    crashes shard 0."""
+    return ClusterStormConfig(
+        trace=_storm_trace(seed, base_rate=150.0, horizon_s=0.3),
+        seed=seed,
+        crash_epoch=1,
+        service_kwargs=(
+            ("n_devices", 2),
+            ("max_active", 8),
+            ("overload", True),
+        ),
+    )
+
+
+def _retry_storm(
+    seed: int = REPORT_SEED, defended: bool = True, crowd: bool = True
+) -> StormConfig:
+    """REPORT_retrystorm: closed-loop clients with aggressive retries
+    behind the 10x crowd.  Defended adds the retry budget, circuit
+    breakers, adaptive throttling and a fast-releasing ladder."""
+    clients = dict(
+        retry=dict(
+            kind="exponential",
+            base_s=0.02,
+            cap_s=0.16,
+            jitter=0.3,
+            max_attempts=10,
+            give_up_s=(
+                ("interactive", 2.0),
+                ("standard", 3.0),
+                ("batch", 4.0),
+            ),
+        ),
+        seed=seed,
+    )
+    if defended:
+        clients["breaker"] = dict(
+            failure_threshold=5, reset_timeout_s=0.1
+        )
+        clients["throttle"] = dict(k=1.5, window=64)
+    return StormConfig(
+        trace=_retry_trace(seed, crowd),
+        n_devices=2,
+        max_active=16,
+        max_queue=64,
+        seed=seed,
+        # A sticky ladder is itself a metastable state, so this one
+        # lets go quickly once pressure clears.
+        overload=(
+            dict(max_level=3, window=16, release=0.6, deescalate_after=3)
+            if defended
+            else None
+        ),
+        clients=clients,
+        retry_budget=(
+            dict(fill_per_first_try=0.1, cap=10.0, initial=2.0)
+            if defended
+            else None
+        ),
+        detector=dict(
+            bin_s=0.05,
+            settle_s=0.1,
+            goodput_frac=0.5,
+            min_offered_rate=40.0,
+        ),
+    )
+
+
+def _retry_storm_hedged_kill(
+    seed: int = REPORT_SEED,
+) -> ClusterStormConfig:
+    """REPORT_retrystorm: the 10x crowd on 2 hedging shards whose
+    second epoch crashes shard 0."""
+    return ClusterStormConfig(
+        trace=_retry_trace(seed),
+        seed=seed,
+        crash_epoch=1,
+        hedge=dict(trigger_percentile=90.0),
+        service_kwargs=(
+            ("n_devices", 2),
+            ("max_active", 8),
+            ("overload", True),
+        ),
+    )
+
+
+#: Scenario name -> builder taking an optional seed (default
+#: :data:`REPORT_SEED`).
+SCENARIOS: "dict[str, Callable[..., StormConfig | ClusterStormConfig]]" = {
+    "storm": _storm,
+    "storm-undefended": lambda seed=REPORT_SEED: _storm(
+        seed, defended=False
+    ),
+    "storm-cluster-kill": _storm_cluster_kill,
+    "retry-storm": _retry_storm,
+    "retry-storm-undefended": lambda seed=REPORT_SEED: _retry_storm(
+        seed, defended=False
+    ),
+    # The base load alone, undefended: the control showing the trap
+    # is metastability, not plain overload.
+    "retry-storm-healthy": lambda seed=REPORT_SEED: _retry_storm(
+        seed, defended=False, crowd=False
+    ),
+    "retry-storm-hedged-kill": _retry_storm_hedged_kill,
+}

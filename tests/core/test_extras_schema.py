@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import (
     EXTRA_KEYS,
-    LEGACY_EXTRA_KEYS,
     extras_schema,
     make_engine,
 )
@@ -82,18 +81,9 @@ def test_guarded_engines_emit_declared_integrity_keys():
         ]
 
 
-def test_legacy_key_lookup_warns_and_resolves():
+def test_extra_lookup_resolves_canonical_keys():
     res = _result("block:2x8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert res.extra("gpu.kernels") == res.extras["gpu.kernels"]
         assert res.extra("missing", 42) == 42
-    with pytest.warns(DeprecationWarning, match="gpu.kernels"):
-        assert res.extra("kernels") == res.extras["gpu.kernels"]
-    with pytest.warns(DeprecationWarning):
-        assert res.extra("per_tree_depth") == res.extras["tree.depth"]
-
-
-def test_legacy_map_targets_are_declared_somewhere():
-    declared = {k for schema in EXTRA_KEYS.values() for k in schema}
-    assert set(LEGACY_EXTRA_KEYS.values()) <= declared

@@ -189,70 +189,6 @@ class TestConcurrencySpeedup:
         assert concurrent.requests_per_s > serial.requests_per_s
 
 
-class TestResultCache:
-    """Satellite: the single-service result cache path -- duplicate
-    positions answered from cache, periodic sweep age-outs, and
-    stale-hit accounting."""
-
-    def test_duplicate_position_served_from_cache(self):
-        # Same game/engine/budget and no explicit state -> same cache
-        # key; the second arrival lands after the first completes.
-        reqs = [
-            request(0),
-            request(1, arrival_s=0.5),
-        ]
-        records, report = serve(reqs, n_devices=1, cache=True)
-        assert [r.status for r in records] == [COMPLETED] * 2
-        assert not records[0].extras.get("cache_hit")
-        assert records[1].extras.get("cache_hit") is True
-        assert report.cache_hits == 1
-        assert report.cache_misses == 1
-        assert report.cache_stale_hits == 0
-        # The cached answer is the original search's result, and it
-        # comes back far faster than a real search.
-        assert records[1].result is records[0].result
-        assert records[1].latency_s < records[0].latency_s
-
-    def test_sweep_ages_out_entries(self):
-        # Two *different* positions (distinct budgets -> distinct
-        # keys).  The second never looks up the first's key, so the
-        # only thing that can expire it is the periodic sweep.
-        service = SearchService(
-            n_devices=1, cache=dict(ttl_s=0.05)
-        )
-        service.submit(request(0))
-        service.submit(request(1, budget_s=0.003, arrival_s=0.5))
-        records = service.run()
-        report = service.report()
-        assert [r.status for r in records] == [COMPLETED] * 2
-        assert service.cache_sweeps >= 1
-        assert report.cache_sweeps >= 1
-        # The first entry aged out via sweep: an expiration that is
-        # *not* also a lookup miss (both lookups missed only because
-        # the keys were cold).
-        assert report.cache_expirations == 1
-        assert report.cache_misses == 2
-        assert report.cache_hits == 0
-        # Only the second (fresh) entry survives the final sweep.
-        assert len(service.cache) == 1
-
-    def test_stale_hit_accounting(self):
-        # Live entry (ttl generous) but older than stale_after_s at
-        # the duplicate lookup: served, counted as hit AND stale hit.
-        reqs = [
-            request(0),
-            request(1, arrival_s=0.5),
-        ]
-        records, report = serve(
-            reqs,
-            n_devices=1,
-            cache=dict(ttl_s=10.0, stale_after_s=0.05),
-        )
-        assert records[1].extras.get("cache_hit") is True
-        assert report.cache_hits == 1
-        assert report.cache_stale_hits == 1
-
-
 class TestTenantFairness:
     """Satellite: the per-tenant in-class queue fairness cap
     (``tenant_queue_frac``)."""

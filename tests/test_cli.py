@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import SCENARIOS
 
 
 class TestParser:
@@ -152,3 +155,31 @@ class TestCommands:
         )
         assert code == 2
         assert "single" in capsys.readouterr().err
+
+    def test_serve_bench_scenario_storm_reproduces_report(self, capsys):
+        # benchmarks/REPORT_overload.md, defended column.
+        assert main(["serve-bench", "--scenario", "storm"]) == 0
+        out = capsys.readouterr().out
+        assert "807 arrivals" in out
+        assert re.search(
+            r"interactive: attainment\s+100\.0% \(165/165\)", out
+        )
+
+    def test_serve_bench_unknown_scenario_lists_names(self, capsys):
+        assert main(["serve-bench", "--scenario", "nope"]) == 2
+        err = capsys.readouterr().err
+        for name in SCENARIOS:
+            assert name in err
+
+    @pytest.mark.parametrize("flag", ["--faults", "--journal"])
+    def test_serve_bench_scenario_fixes_its_layers(
+        self, capsys, tmp_path, flag
+    ):
+        value = {
+            "--faults": "crash=tick:3",
+            "--journal": str(tmp_path / "j.jsonl"),
+        }[flag]
+        code = main(["serve-bench", "--scenario", "storm", flag, value])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
