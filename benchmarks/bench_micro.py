@@ -1,7 +1,8 @@
 """Microbenchmarks of the substrates the figures stand on.
 
 These use pytest-benchmark's statistics properly (many rounds): batched
-playout throughput, the scalar playout fast path, tree operations (on
+playout throughput and the scalar playout, each on the default
+(compiled) path and its NumPy/Python oracle, tree operations (on
 both the pointer-tree and arena backends), the RNG, and simulated-MPI
 collectives.
 
@@ -21,16 +22,26 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.backend import make_forest, make_tree
 from repro.core.tree import SearchTree
 from repro.games import BatchReversi, Reversi, make_game
-from repro.games.batch import run_playouts_tracked, select_random_bit
+from repro.games.batch import (
+    run_playouts_lockstep,
+    run_playouts_tracked,
+    select_random_bit,
+)
+from repro.games.reversi import fast_playout
 from repro.mpi import MpiCluster, TSUBAME_IB
 from repro.rng import BatchXorShift128Plus, XorShift64Star
 
 
-def test_micro_batch_playout_1024(benchmark):
+@pytest.mark.parametrize(
+    "runner", [run_playouts_tracked, run_playouts_lockstep],
+    ids=["default", "lockstep"],
+)
+def test_micro_batch_playout_1024(benchmark, runner):
     game = Reversi()
     bg = BatchReversi()
     state = game.initial_state()
@@ -38,18 +49,21 @@ def test_micro_batch_playout_1024(benchmark):
     def run():
         rng = BatchXorShift128Plus(1024, 7)
         batch = bg.make_batch([state], 1024)
-        return run_playouts_tracked(bg, batch, rng)
+        return runner(bg, batch, rng)
 
     tracked = benchmark.pedantic(run, iterations=1, rounds=3)
     assert tracked.winners.shape == (1024,)
 
 
-def test_micro_scalar_playout(benchmark):
+@pytest.mark.parametrize(
+    "playout", [Reversi().playout, fast_playout], ids=["default", "python"]
+)
+def test_micro_scalar_playout(benchmark, playout):
     game = Reversi()
     state = game.initial_state()
     rng = XorShift64Star(3)
 
-    winner, plies = benchmark(game.playout, state, rng)
+    winner, plies = benchmark(playout, state, rng)
     assert winner in (-1, 0, 1)
     assert plies > 0
 
@@ -149,11 +163,14 @@ def bench_backends(args) -> int:
 
     game = make_game(args.game)
     state = game.initial_state()
+    # Both backends on the NumPy lockstep loop, the baseline this gate
+    # was set against.
     spec = {
         "kind": "block",
         "blocks": args.blocks,
         "threads_per_block": args.tpb,
         "max_iterations": args.iterations,
+        "playout": "numpy",
     }
     runs = {}
     for backend in ("node", "arena"):
@@ -217,10 +234,11 @@ def bench_executors(args) -> int:
     grid.
 
     Returns 0 when the compiled executor clears ``args.threshold`` x
-    the NumPy baseline's iterations/sec (same node backend) with every
-    cell bit-identical, 1 otherwise.  With no C toolchain the compiled
-    cells silently run NumPy, so the gate cannot pass -- CI only runs
-    this mode on toolchain images.
+    the NumPy lockstep baseline's iterations/sec (same node backend,
+    pinned with ``playout="numpy"``) with every cell bit-identical, 1
+    otherwise.  With no C toolchain the compiled cells silently run
+    NumPy, so the gate cannot pass -- CI only runs this mode on
+    toolchain images.
     """
     from repro.compiled import compiled_available, unavailable_reason
     from repro.core import make_engine
@@ -308,7 +326,8 @@ def bench_executors(args) -> int:
 
 def bench_fused(args) -> int:
     """Gate the combined serving stack: fused launches + compiled
-    playouts vs the unfused NumPy node baseline.
+    playouts vs the unfused NumPy node baseline (pinned to the lockstep
+    loop with ``playout="numpy"``).
 
     Runs ``--rounds`` merged scheduler rounds of a fixed multi-tenant
     demand (``--lanes`` lanes per game per round -- the widths real

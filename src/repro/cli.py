@@ -43,14 +43,14 @@ def _cmd_play(args) -> int:
 
     game = make_game(args.game)
     spec = args.engine or f"block:{args.blocks}x{args.tpb}"
-    if args.backend != "node" or args.playout != "numpy":
+    if args.backend != "node" or args.playout != "compiled":
         from repro.core import EngineSpec, with_backend
         from repro.core.spec import with_playout
 
         parsed = EngineSpec.coerce(spec)
         if args.backend != "node" and "backend" not in parsed.params:
             parsed = with_backend(parsed, args.backend)
-        if args.playout != "numpy" and "playout" not in parsed.params:
+        if args.playout != "compiled" and "playout" not in parsed.params:
             parsed = with_playout(parsed, args.playout)
         spec = parsed.canonical()
     mcts = MctsPlayer(
@@ -405,11 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     play.add_argument(
         "--playout",
-        choices=("numpy", "compiled"),
-        default="numpy",
+        choices=("compiled", "numpy"),
+        default="compiled",
         help=(
-            "playout executor (@compiled in a spec wins); 'compiled' "
-            "falls back to numpy without a C toolchain"
+            "playout executor (@compiled/@numpy in a spec wins); "
+            "'compiled' falls back to numpy without a C toolchain; "
+            "'numpy' forces the NumPy lockstep loop"
         ),
     )
     play.set_defaults(func=_cmd_play)
@@ -505,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--playout",
-        choices=("numpy", "compiled"),
-        default="numpy",
+        choices=("compiled", "numpy"),
+        default="compiled",
         help="playout executor applied to every engine in the workload",
     )
     bench.add_argument(

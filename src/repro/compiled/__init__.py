@@ -1,9 +1,11 @@
-"""Compiled playout executor: C kernels behind the NumPy batch seam.
+"""Compiled playout executor: the C kernels the default playout paths
+run whenever the library loads.
 
 Public surface:
 
 * :func:`compiled_available` -- is the toolchain-built library usable?
 * :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
+  :func:`repro.games.batch.run_playouts_lockstep`, called by
   :func:`repro.games.batch.run_playouts_tracked`.
 * :data:`COMPILED_GAMES` -- games with a compiled kernel.
 """

@@ -140,6 +140,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
             i64, u64p, u64p, i8p, u8p, u64p, u64p,
             i8p, i16p, i64p, i64, i64, f64,
         ]
+    lib.repro_reversi_playout_scalar.restype = ctypes.c_int
+    lib.repro_reversi_playout_scalar.argtypes = [
+        ctypes.c_uint64, ctypes.c_uint64, i64, u64p, i64p,
+    ]
     lib.repro_rng_advance.restype = None
     lib.repro_rng_advance.argtypes = [i64, u64p, u64p, i64]
     return lib

@@ -1,13 +1,14 @@
-/* Compiled per-lane playout kernels for the `playout="compiled"` executor.
+/* Compiled playout kernels: the default executor behind
+ * `run_playouts_tracked` and Reversi's scalar playout.
  *
- * Each function replays the exact per-lane semantics of the vectorised
- * NumPy batch games (repro/games/*_batch.py) one lane at a time:
- * xorshift128+ draws in the same order, the same multiply-shift
+ * Each batch function replays the exact per-lane semantics of the
+ * vectorised NumPy batch games (repro/games/*_batch.py) one lane at a
+ * time: xorshift128+ draws in the same order, the same multiply-shift
  * `randbelow` reduction, the same n-th-set-bit move pick.  A lane's
  * outcome depends only on its private RNG stream, so sequential
  * replication is bit-identical to the lockstep kernel.
  *
- * RNG side-effect contract: the NumPy driver (`run_playouts_tracked`)
+ * RNG side-effect contract: the NumPy driver (`run_playouts_lockstep`)
  * advances the *caller's* generator in lockstep until the batch first
  * compacts (after which a selected child generator advances instead).
  * These kernels reproduce that observable state: after playing, every
@@ -220,6 +221,71 @@ int repro_reversi_playouts(
     }
     return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
                     thr, err);
+}
+
+/* -- scalar Reversi (must match repro/games/reversi.py fast_playout) ---- */
+
+/* xorshift64* (must match repro/rng/scalar.py). */
+static inline uint64_t xs64_next(uint64_t *s)
+{
+    uint64_t x = *s;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *s = x;
+    return x * 0x2545F4914F6CDD1DULL;
+}
+
+/* randrange: Lemire's multiply-shift on the full 64-bit draw. */
+static inline uint64_t xs64_below(uint64_t *s, uint64_t bound)
+{
+    return (uint64_t)(((unsigned __int128)xs64_next(s) * bound) >> 64);
+}
+
+/* One uniformly random playout from (black, white, to_move) with a
+ * caller-owned xorshift64* state, advanced in place.  A pass counts as
+ * a ply and draws nothing; the move is the k-th set bit of the
+ * mobility mask, found by lsb-stripping.  Writes the ply count and
+ * returns the absolute winner (+1 black, -1 white, 0 draw). */
+int repro_reversi_playout_scalar(
+    uint64_t black, uint64_t white, int64_t to_move, uint64_t *rng_state,
+    int64_t *plies_out)
+{
+    uint64_t own = to_move == 1 ? black : white;
+    uint64_t opp = to_move == 1 ? white : black;
+    uint64_t s = *rng_state;
+    int64_t sign = to_move, plies = 0;
+    int passed = 0;
+    for (;;) {
+        uint64_t mob = rev_mobility(own, opp);
+        if (!mob) {
+            if (passed)
+                break;
+            passed = 1;
+            uint64_t t = own;
+            own = opp;
+            opp = t;
+            sign = -sign;
+            plies++;
+            continue;
+        }
+        passed = 0;
+        for (uint64_t k = xs64_below(&s, (uint64_t)POPCOUNT(mob)); k; k--)
+            mob &= mob - 1;
+        uint64_t mv = mob & -mob;
+        uint64_t fl = rev_flips(own, opp, mv);
+        uint64_t new_own = opp & ~fl;
+        opp = own | mv | fl;
+        own = new_own;
+        sign = -sign;
+        plies++;
+    }
+    *rng_state = s;
+    *plies_out = plies;
+    uint64_t b = sign == 1 ? own : opp;
+    uint64_t w = sign == 1 ? opp : own;
+    int64_t diff = POPCOUNT(b) - POPCOUNT(w);
+    return diff > 0 ? 1 : diff < 0 ? -1 : 0;
 }
 
 /* -- TicTacToe (must match repro/games/tictactoe_batch.py) -------------- */

@@ -1,21 +1,25 @@
-"""Compiled drop-in for :func:`repro.games.batch.run_playouts_tracked`.
+"""Compiled drop-ins for the NumPy batch driver and Reversi's scalar
+playout.
 
 ``run_playouts_tracked_compiled`` produces bit-identical results to the
 NumPy lockstep driver -- same winners, scores and finish steps, and the
 same side effect on the caller's :class:`BatchXorShift128Plus` (its
 lanes end advanced exactly as far as the lockstep loop would have
-advanced them before the first compaction).  Environments without a C
-toolchain silently fall back to the NumPy path (nothing the user can
-act on); a game *without a compiled kernel* (breakthrough -- see the
-known-gaps note in docs/fusion.md) also falls back, but warns once per
-game so an ``@compiled`` spec never silently runs slower than asked.
-The differential suite pins the equivalence either way.
+advanced them before the first compaction).
+:func:`repro.games.batch.run_playouts_tracked` calls it whenever
+:func:`has_kernel` holds; called directly, it falls back to
+:func:`run_playouts_lockstep` when the library is unavailable or the
+game has no kernel (breakthrough -- see docs/fusion.md).
+
+``reversi_playout`` is the C twin of
+:func:`repro.games.reversi.fast_playout`: same winner, plies and
+``XorShift64Star`` state afterwards.  The differential suite pins both
+equivalences.
 """
 
 from __future__ import annotations
 
 import ctypes
-import warnings
 
 import numpy as np
 
@@ -23,21 +27,23 @@ from repro.compiled.build import load_library
 from repro.games.batch import (
     BatchGame,
     TrackedPlayouts,
-    run_playouts_tracked,
+    run_playouts_lockstep,
 )
-from repro.rng import BatchXorShift128Plus
+from repro.rng import BatchXorShift128Plus, XorShift64Star
 
 #: Games with a compiled kernel; everything else uses the NumPy path.
 COMPILED_GAMES = frozenset({"reversi", "tictactoe", "connect4"})
-
-#: Games already warned about missing a compiled kernel (warn once
-#: per game per process, not once per launch).
-_WARNED_GAMES: set[str] = set()
 
 
 def compiled_available() -> bool:
     """Is the compiled kernel library loadable right now?"""
     return load_library() is not None
+
+
+def has_kernel(game) -> bool:
+    """Will :func:`run_playouts_tracked_compiled` run C for ``game``
+    (the library loads and the game has a kernel)?"""
+    return game.name in COMPILED_GAMES and load_library() is not None
 
 
 def _ptr(arr: np.ndarray, ctype):
@@ -53,26 +59,13 @@ def run_playouts_tracked_compiled(
 ) -> TrackedPlayouts:
     """Drive a batch to completion through the compiled kernel.
 
-    Falls back to :func:`run_playouts_tracked` (identical results by
+    Falls back to :func:`run_playouts_lockstep` (identical results by
     contract) when the library is unavailable or the game has no
-    kernel.  The no-kernel case warns (once per game): the caller
-    asked for ``@compiled`` and is getting the NumPy driver instead.
+    kernel.
     """
-    lib = load_library()
-    if game.name not in COMPILED_GAMES:
-        if game.name not in _WARNED_GAMES:
-            _WARNED_GAMES.add(game.name)
-            warnings.warn(
-                f"no compiled playout kernel for {game.name!r}; "
-                f"@compiled degrades to the NumPy driver "
-                f"(bit-identical results, no speedup -- see "
-                f"docs/fusion.md)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        lib = None
+    lib = load_library() if game.name in COMPILED_GAMES else None
     if lib is None:
-        return run_playouts_tracked(
+        return run_playouts_lockstep(
             game,
             batch,
             rng,
@@ -141,3 +134,27 @@ def run_playouts_tracked_compiled(
     return TrackedPlayouts(
         winners=winners, scores=scores, finish_steps=finish
     )
+
+
+def reversi_playout(state, rng) -> "tuple[int, int] | None":
+    """One uniformly random Reversi playout in C, bit-identical to
+    :func:`repro.games.reversi.fast_playout` -- ``(winner, plies)``
+    with ``rng`` advanced exactly as far.  ``None`` when the library
+    is unavailable or ``rng`` is not an :class:`XorShift64Star` (the
+    only generator the kernel replays)."""
+    if type(rng) is not XorShift64Star:
+        return None
+    lib = load_library()
+    if lib is None:
+        return None
+    word = ctypes.c_uint64(rng.getstate())
+    plies = ctypes.c_int64()
+    winner = lib.repro_reversi_playout_scalar(
+        state.black,
+        state.white,
+        state.to_move,
+        ctypes.byref(word),
+        ctypes.byref(plies),
+    )
+    rng.setstate(word.value)
+    return winner, plies.value

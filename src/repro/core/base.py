@@ -63,7 +63,7 @@ class Engine(abc.ABC):
         max_iterations: int | None = None,
         selection_rule: str = "ucb1",
         backend: str = "node",
-        playout: str = "numpy",
+        playout: str = "compiled",
         profiler: Profiler | None = None,
     ) -> None:
         if max_iterations is not None and max_iterations <= 0:
@@ -82,8 +82,8 @@ class Engine(abc.ABC):
         self.max_iterations = max_iterations
         self.selection_rule = selection_rule
         self.backend = backend
-        #: Playout executor for vectorised batches ("numpy" or
-        #: "compiled"); bit-identical by contract, so it is a pure
+        #: Playout executor for vectorised batches ("compiled" or
+        #: "numpy"); bit-identical by contract, so it is a pure
         #: performance knob that never changes search results.
         self.playout = playout
         self.profiler = profiler if profiler is not None else NULL_PROFILER
@@ -323,7 +323,7 @@ class BatchExecutor:
     SCALAR_CUTOFF = 10
 
     def __init__(
-        self, game_name: str, seed: int, playout: str = "numpy"
+        self, game_name: str, seed: int, playout: str = "compiled"
     ) -> None:
         from repro.games import make_game
 
@@ -378,7 +378,7 @@ def scalar_executor(
 
 
 def batch_executor(
-    game_name: str, seed: int, playout: str = "numpy"
+    game_name: str, seed: int, playout: str = "compiled"
 ) -> Callable[[PlayoutBatch], PlayoutResults]:
     """Factory form of :class:`BatchExecutor`."""
     return BatchExecutor(game_name, seed, playout=playout)

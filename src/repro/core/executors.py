@@ -1,20 +1,27 @@
-"""Playout executor selection: the ``playout="numpy"|"compiled"`` seam.
+"""Playout executor selection: the ``playout="compiled"|"numpy"`` seam.
 
 Every spot that drives a lockstep playout batch to completion -- the
 engines' :class:`~repro.core.base.BatchExecutor`, the virtual GPU, the
 serving lane batcher -- routes through :func:`tracked_runner`, so one
-constructor argument (or the ``@compiled`` spec modifier) switches the
-whole stack onto the compiled kernels.  The two executors are
-bit-identical by contract (same winners/scores/finish steps, same RNG
-side effects), which the differential wall pins; ``"compiled"``
-degrades gracefully to the NumPy path when no C toolchain is present.
+constructor argument (or the ``@numpy`` spec modifier) switches the
+whole stack between the two drivers.  ``"compiled"`` (the default) is
+:func:`~repro.games.batch.run_playouts_tracked`, which runs the C
+kernel whenever it loads and falls back to NumPy otherwise;
+``"numpy"`` forces the :func:`~repro.games.batch.run_playouts_lockstep`
+loop.  The two are bit-identical by contract (same winners/scores/
+finish steps, same RNG side effects), which the differential wall
+pins.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.games.batch import TrackedPlayouts, run_playouts_tracked
+from repro.games.batch import (
+    TrackedPlayouts,
+    run_playouts_lockstep,
+    run_playouts_tracked,
+)
 
 #: Registered playout executors, in canonical order.
 PLAYOUT_EXECUTORS = ("numpy", "compiled")
@@ -35,34 +42,18 @@ def validate_playout(playout: str) -> str:
 def tracked_runner(playout: str) -> TrackedRunner:
     """The ``run_playouts_tracked``-compatible driver for ``playout``.
 
-    ``"compiled"`` resolves lazily on every batch, so availability is
-    re-checked after environment changes and the fallback needs no
+    ``"compiled"`` checks the library on every batch, so availability
+    is re-checked after environment changes and the fallback needs no
     caller-side handling.
     """
     validate_playout(playout)
-    if playout == "compiled":
-        from repro.compiled import run_playouts_tracked_compiled
-
-        return run_playouts_tracked_compiled
+    if playout == "numpy":
+        return run_playouts_lockstep
     return run_playouts_tracked
-
-
-def playout_active(playout: str) -> str:
-    """The executor that will actually run: ``"compiled"`` reports
-    ``"numpy"`` when the kernel library is unavailable (fallback)."""
-    validate_playout(playout)
-    if playout == "compiled":
-        from repro.compiled import compiled_available
-
-        if compiled_available():
-            return "compiled"
-        return "numpy"
-    return playout
 
 
 __all__ = [
     "PLAYOUT_EXECUTORS",
-    "playout_active",
     "tracked_runner",
     "validate_playout",
 ]

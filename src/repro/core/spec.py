@@ -26,7 +26,8 @@ modifier   sets                          applies to
             ``=X`` sets ``virtual_loss``)
 ``@wuct``   ``mode="wuct"``              ``tree``, ``pipeline``
 ``@vote``   ``=sum|majority|trimmed``    ``root``, ``block``
-``@compiled`` ``playout="compiled"``     every kind
+``@compiled`` ``playout="compiled"``     every kind (the default)
+``@numpy``  ``playout="numpy"``          every kind
 ========== ============================ ==========================
 
 :meth:`EngineSpec.canonical` renders the unique canonical string --
@@ -364,7 +365,7 @@ _CANONICAL_DEFAULTS = {
     "backend": "node",
     "mode": "vloss",
     "vote": "sum",
-    "playout": "numpy",
+    "playout": "compiled",
 }
 
 
@@ -428,13 +429,13 @@ def with_playout(
     spec: "EngineSpec | str | Mapping", playout: str
 ) -> EngineSpec:
     """Apply a default playout executor to a spec: the spec's own
-    ``@compiled``/param wins; ``"numpy"`` (the global default) is a
-    no-op.  Mirrors :func:`with_backend`."""
+    ``@compiled``/``@numpy``/param wins; ``"compiled"`` (the global
+    default) is a no-op.  Mirrors :func:`with_backend`."""
     from repro.core.executors import validate_playout
 
     validate_playout(playout)
     parsed = EngineSpec.coerce(spec)
-    if playout == "numpy" or "playout" in parsed.params:
+    if playout == "compiled" or "playout" in parsed.params:
         return parsed
     return EngineSpec(parsed.kind, {**parsed.params, "playout": playout})
 
@@ -524,5 +525,12 @@ register_modifier(
         name="compiled",
         group="playout executor",
         flag_params={"playout": "compiled"},
+    )
+)
+register_modifier(
+    SpecModifier(
+        name="numpy",
+        group="playout executor",
+        flag_params={"playout": "numpy"},
     )
 )

@@ -200,6 +200,43 @@ def run_playouts_tracked(
 ) -> TrackedPlayouts:
     """Drive a batch to completion, recording each lane's finish step.
 
+    Runs the compiled C kernel
+    (:func:`repro.compiled.runner.run_playouts_tracked_compiled`)
+    whenever its library loads and ``game`` has a kernel, and the
+    NumPy :func:`run_playouts_lockstep` loop otherwise.  The two are
+    bit-identical by contract -- same winners, scores, finish steps
+    and RNG side effects -- so the choice is pure performance.
+    """
+    from repro.compiled import runner
+
+    if runner.has_kernel(game):
+        return runner.run_playouts_tracked_compiled(
+            game,
+            batch,
+            rng,
+            compact_threshold=compact_threshold,
+            min_compact_size=min_compact_size,
+        )
+    return run_playouts_lockstep(
+        game,
+        batch,
+        rng,
+        compact_threshold=compact_threshold,
+        min_compact_size=min_compact_size,
+    )
+
+
+def run_playouts_lockstep(
+    game: BatchGame,
+    batch,
+    rng: BatchXorShift128Plus,
+    compact_threshold: float = 0.5,
+    min_compact_size: int = 64,
+) -> TrackedPlayouts:
+    """The NumPy lockstep driver behind :func:`run_playouts_tracked`:
+    the fallback when no compiled kernel loads, the ``playout="numpy"``
+    executor and the differential oracle for the C kernels.
+
     Finished lanes are *compacted away* once the active fraction drops
     below ``compact_threshold`` -- a pure performance move (in the real
     SIMT kernel those lanes keep executing masked, which costs nothing

@@ -90,7 +90,7 @@ class VirtualGpu:
         game_name: str,
         seed: int,
         kernel: KernelSpec | None = None,
-        playout: str = "numpy",
+        playout: str = "compiled",
     ) -> None:
         self.spec = spec
         self.clock = clock

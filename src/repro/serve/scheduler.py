@@ -206,7 +206,7 @@ class LaneBatcher:
         seed: int,
         launcher: ResilientLauncher | None = None,
         integrity: IntegrityState | None = None,
-        playout: str = "numpy",
+        playout: str = "compiled",
     ) -> None:
         self.pool = pool
         self.seed = derive_seed(seed, "lane_batcher")
@@ -217,7 +217,7 @@ class LaneBatcher:
         #: injector's decision and validated; rejects retry through the
         #: resilient launcher.  Requires ``launcher``.
         self.integrity = integrity
-        #: Playout executor ("numpy" or "compiled") running the merged
+        #: Playout executor ("compiled" or "numpy") running the merged
         #: batches; bit-identical by contract, so this never changes
         #: which results tenants see.
         self.playout = playout
@@ -523,7 +523,7 @@ class FusedBatcher(LaneBatcher):
         seed: int,
         launcher: ResilientLauncher | None = None,
         integrity: IntegrityState | None = None,
-        playout: str = "numpy",
+        playout: str = "compiled",
         max_fused_lanes: int = 1 << 16,
     ) -> None:
         super().__init__(

@@ -147,7 +147,7 @@ class SearchService:
         faults: FaultPlan | str | None = None,
         retry: RetryPolicy | None = None,
         backend: str = "node",
-        playout: str = "numpy",
+        playout: str = "compiled",
         fusion: bool = True,
         fusion_admission: bool = False,
         max_fused_lanes: int = 1 << 16,
@@ -269,8 +269,8 @@ class SearchService:
         #: one explicitly (an ``@backend`` suffix always wins).
         self.backend = backend
         #: Default playout executor for requests whose spec does not
-        #: pick one (an ``@compiled`` suffix always wins); also the
-        #: executor the merged-tick batcher runs.
+        #: pick one (an ``@compiled``/``@numpy`` suffix always wins);
+        #: also the executor the merged-tick batcher runs.
         self.playout = playout
         self.max_active = max_active
         self.max_queue = max_queue
@@ -383,7 +383,7 @@ class SearchService:
         overrides = {}
         if self.backend != "node" and "backend" not in spec.params:
             overrides["backend"] = self.backend
-        if self.playout != "numpy" and "playout" not in spec.params:
+        if self.playout != "compiled" and "playout" not in spec.params:
             overrides["playout"] = self.playout
         if self.injector is not None and spec.kind in (
             "block",

@@ -59,8 +59,8 @@ class WorkloadConfig:
     #: ``"node"`` leaves the spec strings untouched.
     backend: str = "node"
     #: Playout executor suffixed onto every engine spec
-    #: (``@compiled``); ``"numpy"`` leaves the spec strings untouched.
-    playout: str = "numpy"
+    #: (``@numpy``); ``"compiled"`` leaves the spec strings untouched.
+    playout: str = "compiled"
     #: Zipf exponent for duplicate-position traffic.  ``0.0`` with no
     #: :attr:`position_pool` keeps the legacy workload (every request
     #: searches its game's initial position).  With a pool, request
@@ -190,8 +190,8 @@ def shape_request(
         u = derive_seed(config.seed, "zipf", i) / 2.0**64
         rank = min(bisect.bisect_left(cdf, u), pool - 1)
         state = positions[game][rank]
-    if config.backend != "node" or config.playout != "numpy":
-        # An explicit @node/@arena/@compiled in the spec wins --
+    if config.backend != "node" or config.playout != "compiled":
+        # An explicit @node/@arena/@compiled/@numpy in the spec wins --
         # and is kept verbatim so request strings stay stable.
         spec = EngineSpec.coerce(engine)
         rewritten = with_playout(

@@ -16,7 +16,8 @@ Three oracles:
   kind x {node, arena} x {numpy, compiled} cell must produce the
   bit-identical search (move, per-move stats, counters, virtual
   time), whether the C library actually loaded or the executor fell
-  back to NumPy.
+  back to NumPy.  The baselines are pinned to ``@numpy`` (the
+  lockstep loop), since the default already runs the C kernel.
 """
 
 import os
@@ -116,33 +117,35 @@ def _assert_identical(a, b):
 )
 @pytest.mark.parametrize("backend_suffix", ["", "@arena"])
 def test_compiled_playout_matches_numpy(spec, backend_suffix):
-    """The full kind x backend x executor wall: ``@compiled`` never
-    changes a search, on either tree backend.  When the C toolchain is
-    absent the compiled executor silently runs NumPy, so this also
-    pins the fallback to exact identity."""
-    baseline = _run(f"{spec}{backend_suffix}")
-    compiled = _run(f"{spec}{backend_suffix}@compiled")
+    """The full kind x backend x executor wall: the compiled default
+    never changes a search against the ``@numpy`` lockstep loop, on
+    either tree backend.  When the C toolchain is absent the default
+    silently runs NumPy, so this also pins the fallback to exact
+    identity."""
+    baseline = _run(f"{spec}{backend_suffix}@numpy")
+    compiled = _run(f"{spec}{backend_suffix}")
     _assert_identical(compiled, baseline)
+    _assert_identical(_run(f"{spec}{backend_suffix}@compiled"), compiled)
 
 
 @pytest.mark.compiled
 @pytest.mark.parametrize("game_name", ["connect4", "reversi"])
 def test_compiled_playout_matches_numpy_other_games(game_name):
-    baseline = _run("block:2x8", game_name)
-    compiled = _run("block:2x8@compiled", game_name)
+    baseline = _run("block:2x8@numpy", game_name)
+    compiled = _run("block:2x8", game_name)
     _assert_identical(compiled, baseline)
 
 
 @pytest.mark.compiled
 def test_compiled_disabled_env_forces_identical_fallback(monkeypatch):
-    """``REPRO_COMPILED=0`` must flip an ``@compiled`` engine onto the
-    NumPy path without changing a single bit of its search."""
-    enabled = _run("block:2x8@compiled", "reversi")
+    """``REPRO_COMPILED=0`` must flip a default engine onto the NumPy
+    path without changing a single bit of its search."""
+    enabled = _run("block:2x8", "reversi")
     monkeypatch.setenv("REPRO_COMPILED", "0")
     from repro.compiled import compiled_available
 
     assert not compiled_available()
-    disabled = _run("block:2x8@compiled", "reversi")
+    disabled = _run("block:2x8", "reversi")
     _assert_identical(disabled, enabled)
     monkeypatch.delenv("REPRO_COMPILED")
     assert os.environ.get("REPRO_COMPILED") is None

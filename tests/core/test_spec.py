@@ -19,6 +19,7 @@ from repro.core import (
     spec_modifiers,
     with_backend,
 )
+from repro.core.spec import with_playout
 from repro.games import TicTacToe
 
 BUDGET = 0.002
@@ -185,6 +186,38 @@ class TestBackendSuffix:
         engine = make_engine("block:2x8@arena", game, 1)
         assert engine.backend == "arena"
         assert make_engine("block:2x8", game, 1).backend == "node"
+
+
+class TestPlayoutModifier:
+    """``@compiled`` (the default) and ``@numpy`` share one slot."""
+
+    def test_compiled_is_default_and_not_emitted(self):
+        spec = EngineSpec.parse("block:2x8@compiled")
+        assert spec.params["playout"] == "compiled"
+        assert spec.canonical() == "block:2x8"
+
+    def test_numpy_round_trips(self):
+        for text in ("block:2x8@numpy", "tree:8@arena@numpy"):
+            spec = EngineSpec.parse(text)
+            assert spec.params["playout"] == "numpy"
+            assert spec.canonical() == text
+
+    def test_compiled_and_numpy_conflict(self):
+        with pytest.raises(ValueError, match="playout executor"):
+            EngineSpec.parse("block:2x8@compiled@numpy")
+
+    def test_with_playout_helper(self):
+        assert with_playout("root:4", "numpy").canonical() == "root:4@numpy"
+        assert with_playout("root:4", "compiled").canonical() == "root:4"
+        assert (
+            with_playout("root:4@compiled", "numpy").params["playout"]
+            == "compiled"
+        )
+
+    def test_built_engine_carries_playout(self):
+        game = TicTacToe()
+        assert make_engine("block:2x8", game, 1).playout == "compiled"
+        assert make_engine("block:2x8@numpy", game, 1).playout == "numpy"
 
 
 class TestMalformedSpecs:

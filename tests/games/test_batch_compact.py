@@ -11,7 +11,7 @@ from repro.games import (
     make_batch_game,
     make_game,
 )
-from repro.games.batch import run_playouts_tracked
+from repro.games.batch import run_playouts_lockstep
 from repro.rng import BatchXorShift128Plus
 
 ALL_BATCH = [BatchReversi, BatchTicTacToe, BatchConnect4, BatchBreakthrough]
@@ -30,18 +30,18 @@ class TestCompact:
             assert bg.lane_state(small, i) == bg.lane_state(batch, 2 * i)
 
     def test_tracked_runner_with_and_without_compaction_agree(self, cls):
-        """Compaction is a pure optimisation: winners and finish steps
-        must be identical either way."""
+        """Compaction is a pure optimisation of the NumPy lockstep loop:
+        winners and finish steps must be identical either way."""
         bg = cls()
         game = make_game(bg.name)
-        a = run_playouts_tracked(
+        a = run_playouts_lockstep(
             bg,
             bg.make_batch([game.initial_state()], 64),
             BatchXorShift128Plus(64, seed=7),
             compact_threshold=0.5,
             min_compact_size=16,
         )
-        b = run_playouts_tracked(
+        b = run_playouts_lockstep(
             bg,
             bg.make_batch([game.initial_state()], 64),
             BatchXorShift128Plus(64, seed=7),

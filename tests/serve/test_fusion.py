@@ -99,6 +99,8 @@ class TestFusedServiceIdentity:
         _, numpy_ = run_service(fusion=True, playout="numpy")
         for rc, rn in zip(compiled, numpy_):
             assert record_key(rc) == record_key(rn)
+            # The executor is invisible on the virtual clock too.
+            assert rc.finish_s == rn.finish_s
 
     def test_report_renders_fusion_metrics(self):
         service, _ = run_service(fusion=True)
