@@ -55,13 +55,11 @@ from repro.harness.common import resolve_tier
 from repro.serve import (
     ClusterRouter,
     SCENARIOS,
-    ClusterStormConfig,
     SearchService,
     WorkloadConfig,
     make_workload,
     post_crowd_attainment,
     run_cluster_storm,
-    run_storm,
 )
 
 
@@ -274,10 +272,13 @@ def render_skew_comparison(off, on) -> str:
 def run_scenario(name: str):
     """One named storm (``repro.serve.SCENARIOS``) at the report
     seed; every gate below runs one of these."""
-    config = SCENARIOS[name]()
-    if isinstance(config, ClusterStormConfig):
-        return run_cluster_storm(config)
-    return run_storm(config)
+    return run_cluster_storm(SCENARIOS[name]())
+
+
+def node_report(outcome):
+    """A single-node storm's per-node counters (its one shard's
+    service report)."""
+    return outcome.reports[0].shard_reports[0]
 
 
 def storm_fingerprint(outcome):
@@ -320,8 +321,8 @@ def render_storm_comparison(defended, undefended) -> str:
                 f"({stats.met}/{stats.degraded}/{stats.shed}/"
                 f"{stats.rejected}/{stats.missed})"
             )
-        cells.append(str(out.report.peak_devices or "-"))
-        cells.append(str(out.report.shed))
+        cells.append(str(node_report(out).peak_devices or "-"))
+        cells.append(str(node_report(out).shed))
         return cells
 
     return format_series(
@@ -342,7 +343,7 @@ def render_retry_storm(healthy, undefended, defended, clear_s) -> str:
     from repro.util.tables import format_series
 
     def column(out):
-        rep = out.report
+        rep = node_report(out)
         verdict = out.metastability
         pc = post_crowd_attainment(out.records, clear_s)
         return [
@@ -666,247 +667,188 @@ def test_cluster_shard_kill_recovers_exactly_once(run_once):
     assert report.mean_mttr_s > 0
 
 
-def test_storm_interactive_slo_defended_vs_undefended(run_once):
-    """The overload tentpole's headline: under a 4x flash crowd the
-    defense ladder keeps the interactive SLO while the undefended
-    node collapses -- and every request ends in an explicit
-    terminal outcome either way."""
-    def compare():
-        return run_scenario("storm"), run_scenario("storm-undefended")
-
-    defended, undefended = run_once(compare)
-    print()
-    print(render_storm_comparison(defended, undefended))
-    assert defended.attainment("interactive") >= 0.95
-    assert undefended.attainment("interactive") < 0.50
-    for outcome in (defended, undefended):
-        assert len(outcome.records) == len(outcome.requests)
-        for stats in outcome.per_class.values():
-            assert stats.offered == (
-                stats.met + stats.degraded + stats.shed
-                + stats.rejected + stats.missed
-            )
-    # The ladder protects interactive by shedding lower classes, not
-    # by degrading or dropping interactive work.
-    interactive = defended.per_class["interactive"]
-    assert interactive.shed == 0
-    assert defended.report.shed > 0
-    assert defended.report.peak_devices > SCENARIOS["storm"]().n_devices
+def test_storm_gate(run_once):
+    """The overload tier's claims, exactly as ``--storm --smoke``
+    checks them (see :func:`_storm_main`)."""
+    assert run_once(_storm_main, False) == 0
 
 
-def test_storm_replay_bit_identical(run_once):
-    """Identical seeds give identical arrivals and identical
-    per-request outcomes across two full storm replays."""
-    def replay():
-        return run_scenario("storm"), run_scenario("storm")
-
-    first, second = run_once(replay)
-    assert storm_fingerprint(first) == storm_fingerprint(second)
+def test_retry_storm_gate(run_once):
+    """The closed-loop tier's claims, exactly as ``--retry-storm
+    --smoke`` checks them (see :func:`_retry_storm_main`)."""
+    assert run_once(_retry_storm_main, False) == 0
 
 
-def test_storm_cluster_shard_crash_exactly_once(run_once):
-    """A shard crash mid-storm is recovered from its journal; no
-    request is lost and none is served twice."""
-    outcome = run_once(run_scenario, "storm-cluster-kill")
+def served_exactly_once(outcome) -> bool:
+    """No request lost and none served twice."""
     rids = [r.request.request_id for r in outcome.records]
-    assert len(rids) == len(set(rids)), "request served twice"
-    assert len(rids) == len(outcome.requests), "request lost"
-    assert outcome.crashes == 1
-    assert outcome.recoveries == 1
-    assert outcome.mean_mttr_s > 0
+    return len(rids) == len(set(rids)) == len(outcome.requests)
 
 
-def test_retry_storm_metastable_differential(run_once):
-    """The closed-loop tentpole's headline: with retrying clients the
-    undefended node stays trapped after the crowd clears, while the
-    defended stack recovers post-crowd interactive attainment -- and
-    the base load alone is provably healthy, so the trap is
-    metastability, not plain overload."""
-    def compare():
-        return (
-            run_scenario("retry-storm-healthy"),
-            run_scenario("retry-storm-undefended"),
-            run_scenario("retry-storm"),
-        )
-
-    healthy, undefended, defended = run_once(compare)
-    clear_s = SCENARIOS["retry-storm"]().post_crowd_s()
-    print()
-    print(
-        render_retry_storm(healthy, undefended, defended, clear_s)
+def outcomes_conserved(outcome) -> bool:
+    """Per class, the five terminal outcomes sum to offered load."""
+    return all(
+        s.offered == s.met + s.degraded + s.shed + s.rejected + s.missed
+        for s in outcome.per_class.values()
     )
-    # The healthy equilibrium exists: base load alone meets every SLO
-    # and generates no retries.
-    assert healthy.attainment("interactive") >= 0.99
-    assert healthy.report.retries_offered == 0
-    assert not healthy.metastability.trapped
-    # Undefended: the trigger is gone but the bad equilibrium
-    # remains -- sustained trapped bins, goodput pinned below
-    # offered, fresh post-crowd interactive work still failing.
-    assert undefended.metastability.trapped
-    assert undefended.report.retries_offered > 1000
-    assert post_crowd_attainment(undefended.records, clear_s) < 0.50
-    # Defended: same trace, same clients -- the budget + breakers +
-    # throttle collapse the retry flood and the node escapes.
-    assert not defended.metastability.trapped
-    assert post_crowd_attainment(defended.records, clear_s) >= 0.95
-    assert defended.report.retries_offered < (
-        undefended.report.retries_offered // 4
-    )
-    # Each defense layer demonstrably engaged.
-    assert defended.report.budget_rejected > 0
-    assert defended.report.breaker_opens > 0
-    assert defended.report.client_suppressed_breaker > 0
-    assert defended.report.client_suppressed_throttle > 0
-    for outcome in (healthy, undefended, defended):
-        for stats in outcome.per_class.values():
-            assert stats.offered == (
-                stats.met + stats.degraded + stats.shed
-                + stats.rejected + stats.missed
-            )
 
 
-def test_retry_storm_replay_bit_identical(run_once):
-    """Closed-loop storms -- retries, breakers, jitter and all --
-    replay bit-identically from one seed, on both sides of the
-    differential."""
-    def replay():
-        return (
-            run_scenario("retry-storm-undefended"),
-            run_scenario("retry-storm-undefended"),
-            run_scenario("retry-storm"),
-            run_scenario("retry-storm"),
-        )
-
-    u1, u2, d1, d2 = run_once(replay)
-    assert storm_fingerprint(u1) == storm_fingerprint(u2)
-    assert storm_fingerprint(d1) == storm_fingerprint(d2)
-    assert storm_fingerprint(u1) != storm_fingerprint(d1)
+def report_gate(checks: "dict[str, bool]", passed: str) -> int:
+    """Print a ``FAIL`` line per failed check (the keys are the
+    messages), or ``passed``; the exit code."""
+    failures = [message for message, ok in checks.items() if not ok]
+    for message in failures:
+        print(f"FAIL: {message}")
+    if failures:
+        return 1
+    print(passed)
+    return 0
 
 
-def test_retry_storm_hedged_cluster_crash_exactly_once(run_once):
-    """Hedged backups compose with mid-storm crash recovery: every
-    request ends in exactly one explicit terminal outcome (the
-    run_cluster_storm harness asserts explicit outcomes and each
-    shard asserts its leases drained)."""
-    outcome = run_once(run_scenario, "retry-storm-hedged-kill")
-    rids = [r.request.request_id for r in outcome.records]
-    assert len(rids) == len(set(rids)), "request served twice"
-    assert len(rids) == len(outcome.requests), "request lost"
-    assert outcome.crashes == 1
-    assert outcome.recoveries == 1
-    assert sum(r.hedges_fired for r in outcome.reports) > 0
-
-
-def _retry_storm_main(smoke: bool) -> int:  # pragma: no cover
+def _retry_storm_main(smoke: bool) -> int:
+    """With retrying clients the undefended node stays trapped after
+    the crowd clears, while the defended stack recovers post-crowd
+    interactive attainment -- and the base load alone is healthy, so
+    the trap is metastability, not plain overload.  Closed-loop
+    storms replay bit-identically, and hedged backups compose with
+    mid-storm crash recovery."""
     healthy = run_scenario("retry-storm-healthy")
     undefended = run_scenario("retry-storm-undefended")
     defended = run_scenario("retry-storm")
     clear_s = SCENARIOS["retry-storm"]().post_crowd_s()
     print(render_retry_storm(healthy, undefended, defended, clear_s))
-    if healthy.attainment("interactive") < 0.99:
-        print("FAIL: base load alone is not healthy")
-        return 1
-    if not undefended.metastability.trapped:
-        print(
-            "FAIL: undefended node is not metastably trapped -- "
-            "the storm is not igniting"
-        )
-        return 1
     u_pc = post_crowd_attainment(undefended.records, clear_s)
-    if u_pc >= 0.50:
-        print(
-            f"FAIL: undefended post-crowd interactive {u_pc:.1%} "
-            f">= 50%"
-        )
-        return 1
-    if defended.metastability.trapped:
-        print("FAIL: defended node is still trapped post-crowd")
-        return 1
     d_pc = post_crowd_attainment(defended.records, clear_s)
-    if d_pc < 0.95:
-        print(
-            f"FAIL: defended post-crowd interactive {d_pc:.1%} "
-            f"< 95%"
-        )
-        return 1
-    replay = run_scenario("retry-storm-undefended")
-    if storm_fingerprint(replay) != storm_fingerprint(undefended):
-        print("FAIL: retry storm replay is not bit-identical")
-        return 1
+    u_node, d_node = node_report(undefended), node_report(defended)
     kill = run_scenario("retry-storm-hedged-kill")
-    rids = [r.request.request_id for r in kill.records]
-    if len(rids) != len(set(rids)) or len(rids) != len(kill.requests):
-        print("FAIL: hedged shard crash lost or duplicated requests")
-        return 1
-    if kill.crashes != 1 or kill.recoveries != 1:
-        print(
-            f"FAIL: expected one crash+recovery, got "
-            f"{kill.crashes}/{kill.recoveries}"
-        )
-        return 1
     hedges = sum(r.hedges_fired for r in kill.reports)
     print(
         f"hedged cluster storm: {len(kill.records)} requests, "
         f"{hedges} hedges fired, {kill.crashes} crash, "
         f"MTTR {kill.mean_mttr_s:.4f}s"
     )
-    if smoke:
-        print(
-            f"smoke OK: post-crowd interactive {d_pc:.0%} defended "
-            f"vs {u_pc:.0%} undefended (trapped "
-            f"{undefended.metastability.trapped_bins} bins); replay "
-            f"bit-identical; hedged mid-storm shard crash recovered "
-            f"exactly-once"
-        )
-    return 0
+    return report_gate(
+        {
+            # The healthy equilibrium exists: base load alone meets
+            # every SLO and generates no retries.
+            "base load alone is not healthy": (
+                healthy.attainment("interactive") >= 0.99
+                and node_report(healthy).retries_offered == 0
+                and not healthy.metastability.trapped
+            ),
+            # Undefended: the trigger is gone but the bad equilibrium
+            # remains.
+            "undefended node is not metastably trapped -- the storm "
+            "is not igniting": (
+                undefended.metastability.trapped
+                and u_node.retries_offered > 1000
+            ),
+            f"undefended post-crowd interactive {u_pc:.1%} >= 50%": (
+                u_pc < 0.50
+            ),
+            # Defended: same trace, same clients -- the budget,
+            # breakers and throttle collapse the retry flood.
+            "defended node is still trapped post-crowd": (
+                not defended.metastability.trapped
+            ),
+            f"defended post-crowd interactive {d_pc:.1%} < 95%": (
+                d_pc >= 0.95
+            ),
+            "defenses did not cut retries below a quarter": (
+                d_node.retries_offered < u_node.retries_offered // 4
+            ),
+            "a defense layer never engaged": (
+                d_node.budget_rejected > 0
+                and d_node.breaker_opens > 0
+                and d_node.client_suppressed_breaker > 0
+                and d_node.client_suppressed_throttle > 0
+            ),
+            "per-class outcomes do not sum to offered load": all(
+                map(outcomes_conserved, (healthy, undefended, defended))
+            ),
+            "retry storm replay is not bit-identical": (
+                storm_fingerprint(run_scenario("retry-storm-undefended"))
+                == storm_fingerprint(undefended)
+                and storm_fingerprint(run_scenario("retry-storm"))
+                == storm_fingerprint(defended)
+                and storm_fingerprint(undefended)
+                != storm_fingerprint(defended)
+            ),
+            "hedged shard crash lost or duplicated requests": (
+                served_exactly_once(kill)
+            ),
+            f"expected one crash+recovery and hedges, got "
+            f"{kill.crashes}/{kill.recoveries}, {hedges} hedges": (
+                kill.crashes == kill.recoveries == 1 and hedges > 0
+            ),
+        },
+        f"smoke OK: post-crowd interactive {d_pc:.0%} defended vs "
+        f"{u_pc:.0%} undefended (trapped "
+        f"{undefended.metastability.trapped_bins} bins); replay "
+        f"bit-identical; hedged mid-storm shard crash recovered "
+        f"exactly-once"
+        if smoke
+        else "retry-storm gate OK",
+    )
 
 
-def _storm_main(smoke: bool) -> int:  # pragma: no cover
+def _storm_main(smoke: bool) -> int:
+    """Under a 4x flash crowd the defense ladder keeps the interactive
+    SLO while the undefended node collapses, every request ends in an
+    explicit terminal outcome either way, the storm replays
+    bit-identically, and a mid-storm shard crash is recovered exactly
+    once from its journal."""
     defended = run_scenario("storm")
     undefended = run_scenario("storm-undefended")
     print(render_storm_comparison(defended, undefended))
     d_int = defended.attainment("interactive")
     u_int = undefended.attainment("interactive")
-    if d_int < 0.95:
-        print(
-            f"FAIL: defended interactive attainment "
-            f"{d_int:.1%} < 95%"
-        )
-        return 1
-    if u_int >= 0.50:
-        print(
-            f"FAIL: undefended interactive attainment "
-            f"{u_int:.1%} >= 50% -- storm is not overloading"
-        )
-        return 1
-    replay = run_scenario("storm")
-    if storm_fingerprint(replay) != storm_fingerprint(defended):
-        print("FAIL: storm replay is not bit-identical")
-        return 1
+    n_devices = dict(SCENARIOS["storm"]().service_kwargs)["n_devices"]
     kill = run_scenario("storm-cluster-kill")
-    rids = [r.request.request_id for r in kill.records]
-    if len(rids) != len(set(rids)) or len(rids) != len(kill.requests):
-        print("FAIL: shard crash lost or duplicated requests")
-        return 1
-    if kill.crashes != 1 or kill.recoveries != 1:
-        print(
-            f"FAIL: expected one crash+recovery, got "
-            f"{kill.crashes}/{kill.recoveries}"
-        )
-        return 1
     print(
         f"cluster storm: {len(kill.records)} requests over "
         f"{kill.shard_counts} shards, {kill.crashes} crash, "
         f"MTTR {kill.mean_mttr_s:.4f}s"
     )
-    if smoke:
-        print(
-            f"smoke OK: interactive attainment {d_int:.0%} defended "
-            f"vs {u_int:.0%} undefended; replay bit-identical; "
-            f"mid-storm shard crash recovered exactly-once"
-        )
-    return 0
+    return report_gate(
+        {
+            f"defended interactive attainment {d_int:.1%} < 95%": (
+                d_int >= 0.95
+            ),
+            f"undefended interactive attainment {u_int:.1%} >= 50% "
+            f"-- storm is not overloading": u_int < 0.50,
+            "a request ended without exactly one counted outcome": all(
+                served_exactly_once(o) and outcomes_conserved(o)
+                for o in (defended, undefended)
+            ),
+            # The ladder protects interactive by shedding lower
+            # classes, not by degrading or dropping interactive work.
+            "the ladder shed interactive work or shed nothing": (
+                defended.per_class["interactive"].shed == 0
+                and node_report(defended).shed > 0
+            ),
+            "the autoscaler never grew the fleet": (
+                node_report(defended).peak_devices > n_devices
+            ),
+            "storm replay is not bit-identical": (
+                storm_fingerprint(run_scenario("storm"))
+                == storm_fingerprint(defended)
+            ),
+            "shard crash lost or duplicated requests": (
+                served_exactly_once(kill)
+            ),
+            f"expected one crash+recovery, got "
+            f"{kill.crashes}/{kill.recoveries}": (
+                kill.crashes == kill.recoveries == 1
+                and kill.mean_mttr_s > 0
+            ),
+        },
+        f"smoke OK: interactive attainment {d_int:.0%} defended vs "
+        f"{u_int:.0%} undefended; replay bit-identical; mid-storm "
+        f"shard crash recovered exactly-once"
+        if smoke
+        else "storm gate OK",
+    )
 
 
 def _cluster_main(smoke: bool) -> int:  # pragma: no cover

@@ -102,10 +102,8 @@ def _cmd_devices(_args) -> int:
 def _cmd_serve_bench_scenario(args) -> int:
     from repro.serve import (
         SCENARIOS,
-        StormConfig,
         post_crowd_attainment,
         run_cluster_storm,
-        run_storm,
     )
     from repro.serve.metrics import class_rows, render_metric_rows
 
@@ -130,41 +128,45 @@ def _cmd_serve_bench_scenario(args) -> int:
     t0 = time.perf_counter()
     config = build() if args.seed is None else build(args.seed)
     title = f"{args.scenario} (seed {config.seed})"
-    if isinstance(config, StormConfig):
-        outcome = run_storm(config)
+    outcome = run_cluster_storm(config)
+    print(
+        f"--- {title}: {len(outcome.requests)} arrivals over "
+        f"{config.trace.horizon_s:.2f}s ---"
+    )
+    rows = {
+        "requests": str(len(outcome.records)),
+        "shards per epoch": ",".join(map(str, outcome.shard_counts)),
+        "hedges fired": str(
+            sum(r.hedges_fired for r in outcome.reports)
+        ),
+        "crashes / recoveries": (
+            f"{outcome.crashes} / {outcome.recoveries}"
+        ),
+        "mean MTTR (s)": f"{outcome.mean_mttr_s:.4f}",
+    }
+    rows.update(class_rows(outcome.per_class))
+    print(render_metric_rows(title, rows))
+    if outcome.shard_counts == [1]:
+        # A single node: its own counters (ladder, autoscaler,
+        # clients, fusion) are the run's detail.
         print(
-            f"--- {title}: {len(outcome.requests)} arrivals over "
-            f"{config.trace.horizon_s:.2f}s ---"
+            outcome.reports[0].shard_reports[0].render(
+                f"{args.scenario}: the node"
+            )
         )
-        print(outcome.report.render(title))
-        verdict = outcome.metastability
-        if verdict is not None:
-            attainment = post_crowd_attainment(
-                outcome.records, config.post_crowd_s()
-            )
-            state = "TRAPPED" if verdict.trapped else "recovered"
-            print(
-                f"metastability: {state} "
-                f"({verdict.trapped_bins} consecutive trapped bins, "
-                f"post-crowd goodput/offered "
-                f"{verdict.goodput_ratio:.2f}, "
-                f"post-crowd interactive SLO {attainment:.0%})"
-            )
-    else:
-        outcome = run_cluster_storm(config)
-        rows = {
-            "requests": str(len(outcome.records)),
-            "shards per epoch": ",".join(map(str, outcome.shard_counts)),
-            "hedges fired": str(
-                sum(r.hedges_fired for r in outcome.reports)
-            ),
-            "crashes / recoveries": (
-                f"{outcome.crashes} / {outcome.recoveries}"
-            ),
-            "mean MTTR (s)": f"{outcome.mean_mttr_s:.4f}",
-        }
-        rows.update(class_rows(outcome.per_class))
-        print(render_metric_rows(title, rows))
+    verdict = outcome.metastability
+    if verdict is not None:
+        attainment = post_crowd_attainment(
+            outcome.records, config.post_crowd_s()
+        )
+        state = "TRAPPED" if verdict.trapped else "recovered"
+        print(
+            f"metastability: {state} "
+            f"({verdict.trapped_bins} consecutive trapped bins, "
+            f"post-crowd goodput/offered "
+            f"{verdict.goodput_ratio:.2f}, "
+            f"post-crowd interactive SLO {attainment:.0%})"
+        )
     print(
         f"[serve-bench took {time.perf_counter() - t0:.1f}s wall]"
     )

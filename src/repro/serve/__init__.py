@@ -127,11 +127,8 @@ from repro.serve.storm import (
     ClusterStormConfig,
     ClusterStormOutcome,
     SilentOutcomeError,
-    StormConfig,
-    StormOutcome,
     assert_explicit_outcomes,
     run_cluster_storm,
-    run_storm,
 )
 from repro.serve.workload import (
     MIXED_ENGINES,
@@ -204,11 +201,8 @@ __all__ = [
     "AutoscalerConfig",
     "ShardAutoscaler",
     "ShardAutoscalerConfig",
-    "StormConfig",
-    "StormOutcome",
     "ClusterStormConfig",
     "ClusterStormOutcome",
-    "run_storm",
     "run_cluster_storm",
     "SCENARIOS",
     "REPORT_SEED",

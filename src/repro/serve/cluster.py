@@ -38,8 +38,10 @@ the cache's integrity check) are re-dispatched as leaders in a
 subsequent wave, so every request still terminates.
 
 Crash recovery: with a ``journal_dir``, every shard journals its own
-requests (rid-scoped via ``SearchService.recover(rid_filter=...)``).
-A shard whose fault plan kills it mid-run is recovered from its own
+requests and recovers them scoped by lineage
+(``SearchService.recover(rid_filter=...)`` keeps every attempt whose
+:func:`~repro.serve.request.lineage_root` the shard was sent).  A
+shard whose fault plan kills it mid-run is recovered from its own
 journal exactly once -- journalled completions are adopted, never
 re-run -- and the recovered incarnation's elapsed time is reported as
 that shard's MTTR.
@@ -84,6 +86,7 @@ from repro.serve.request import (
     SHED,
     RequestRecord,
     SearchRequest,
+    lineage_root,
 )
 from repro.serve.service import (
     SearchService,
@@ -92,6 +95,11 @@ from repro.serve.service import (
 )
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
+
+#: Trim fraction of the replica vote (median at 3 replicas).
+VOTE_TRIM = 0.34
+#: Virtual nodes per shard on the :class:`HashRing`.
+RING_VNODES = 64
 
 register_extra_keys(
     "cluster",
@@ -273,7 +281,8 @@ class ShardHandle:
     its write-ahead journal path, runs each wave of requests on a
     fresh :class:`SearchService` incarnation, and absorbs a planned
     :class:`ServiceCrash` by recovering from its own journal --
-    scoped to its own request ids via ``rid_filter`` so a journal
+    scoped via ``rid_filter`` to the lineages of the requests it was
+    sent (its clients' journalled retries included), so a journal
     polluted with another shard's records recovers cleanly.
 
     ``elapsed_s`` accumulates the shard's wall time on its own virtual
@@ -333,7 +342,9 @@ class ShardHandle:
             )
             rids = {r.request_id for r in requests}
             service = SearchService.recover(
-                journal, rid_filter=rids.__contains__, **kwargs
+                journal,
+                rid_filter=lambda rid: lineage_root(rid) in rids,
+                **kwargs,
             )
             records = service.run()
             self.recoveries += 1
@@ -523,10 +534,7 @@ class ClusterRouter:
         replicas: int = 1,
         seed: int = 0,
         cache: "ResultCache | dict | bool | None" = None,
-        cache_hit_cost_s: float = CACHE_HIT_COST_S,
         journal_dir: "str | Path | None" = None,
-        vote_trim: float = 0.34,
-        vnodes: int = 64,
         shard_overrides: "dict[int, dict] | None" = None,
         failure_domains: "tuple[int, ...] | list[int] | None" = None,
         hedge: "HedgePolicy | dict | bool | None" = None,
@@ -536,19 +544,13 @@ class ClusterRouter:
             raise ValueError(
                 f"replicas must be positive: {replicas}"
             )
-        if not 0.0 <= vote_trim < 0.5:
-            raise ValueError(
-                f"vote_trim must be in [0, 0.5): {vote_trim}"
-            )
         self.n_shards = n_shards
         self.replicas = replicas
         self.seed = seed
-        self.vote_trim = vote_trim
         self.cache = ResultCache.coerce(cache)
-        self.cache_hit_cost_s = cache_hit_cost_s
         self.ring = HashRing(
             n_shards,
-            vnodes=vnodes,
+            vnodes=RING_VNODES,
             seed=derive_seed(seed, "ring"),
             domains=failure_domains,
         )
@@ -586,6 +588,10 @@ class ClusterRouter:
         self._collisions: "dict[str, int]" = {}
         self._requests: "list[SearchRequest]" = []
         self._final: "dict[str, RequestRecord]" = {}
+        #: Records of requests a shard created itself (closed-loop
+        #: client retries ``X~a<n>``), in the order shards returned
+        #: them; they follow the submitted requests' records.
+        self._minted: "list[RequestRecord]" = []
         self._games: "dict[str, Game]" = {}
         self._ran = False
 
@@ -641,7 +647,7 @@ class ClusterRouter:
         self, request: SearchRequest, entry, t_eff: float
     ) -> RequestRecord:
         """A record served from the cache at virtual time ``t_eff``."""
-        finish = t_eff + self.cache_hit_cost_s
+        finish = t_eff + CACHE_HIT_COST_S
         deadline = request.absolute_deadline_s
         if deadline is not None and finish > deadline:
             # The leader's answer came too late for this follower.
@@ -685,7 +691,7 @@ class ClusterRouter:
             return primary
         voted = trimmed_vote_stat_dicts(
             [dict(r.result.stats) for r in completed],
-            trim=self.vote_trim,
+            trim=VOTE_TRIM,
         )
         if not voted:
             return primary
@@ -731,7 +737,8 @@ class ClusterRouter:
     # -- execution ---------------------------------------------------------
 
     def run(self) -> "list[RequestRecord]":
-        """Serve every submitted request; records in submission order."""
+        """Serve every submitted request; records in submission order,
+        then the records of retries the shards' clients created."""
         if self._ran:
             raise ServiceError("cluster already ran; build a new one")
         self._ran = True
@@ -745,9 +752,7 @@ class ClusterRouter:
             pending = self._run_wave(pending)
         if self.hedge is not None:
             self._run_hedges()
-        return [
-            self._final[r.request_id] for r in self._requests
-        ]
+        return self.records
 
     def _run_hedges(self) -> None:
         """The hedged-request pass (see :class:`HedgePolicy`): fire
@@ -934,10 +939,12 @@ class ClusterRouter:
             self._final[request.request_id] = self._aggregate(
                 request,
                 [
-                    shard_records[rid]
+                    shard_records.pop(rid)
                     for rid in replica_rids[request.request_id]
                 ],
             )
+        # What is left a shard created itself: its clients' retries.
+        self._minted.extend(shard_records.values())
 
         # Pass C -- publish leaders into the cache (at their finish
         # time, screened), then serve followers; followers whose
@@ -987,7 +994,7 @@ class ClusterRouter:
             self._final[r.request_id]
             for r in self._requests
             if r.request_id in self._final
-        ]
+        ] + self._minted
 
     def report(self) -> ClusterReport:
         """Aggregate metrics for the finished cluster run."""

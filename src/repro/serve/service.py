@@ -99,6 +99,10 @@ from repro.serve.scheduler import (
 from repro.util.clock import Clock
 from repro.util.seeding import derive_seed
 
+#: Fixed host bookkeeping charged to the virtual clock on every
+#: scheduler tick, on top of the engines' per-request CPU charge.
+TICK_OVERHEAD_S = 2e-6
+
 
 def supports_search_steps(engine: Engine) -> bool:
     """Can this engine be driven through the merged generator seam?"""
@@ -142,7 +146,6 @@ class SearchService:
         max_queue: int = 256,
         seed: int = 0,
         tracer: Tracer | None = None,
-        tick_overhead_s: float = 2e-6,
         enforce_deadlines: bool = True,
         faults: FaultPlan | str | None = None,
         retry: RetryPolicy | None = None,
@@ -275,7 +278,6 @@ class SearchService:
         self.max_active = max_active
         self.max_queue = max_queue
         self.seed = seed
-        self.tick_overhead_s = tick_overhead_s
         self.enforce_deadlines = enforce_deadlines
         self.ticks = 0
         self._records: list[RequestRecord] = []
@@ -887,7 +889,7 @@ class SearchService:
                 and gen_pool.pending
             ):
                 floor = (
-                    self.batcher.tick_floor_s() + self.tick_overhead_s
+                    self.batcher.tick_floor_s() + TICK_OVERHEAD_S
                 )
                 for rid in gen_pool.pending:
                     record = active[rid].record
@@ -929,7 +931,7 @@ class SearchService:
                     if target is not None:
                         self.clock.advance_to(target)
                     else:  # pragma: no cover - defensive
-                        self.clock.advance(self.tick_overhead_s)
+                        self.clock.advance(TICK_OVERHEAD_S)
                 continue
 
             # --- one merged tick over all generator-driven requests ---
@@ -1004,7 +1006,7 @@ class SearchService:
                 slot.pending_cpu_s = 0.0
                 if finished:
                     slot.result = gen_pool.results.pop(rid)
-            self.clock.advance(cpu_s + self.tick_overhead_s)
+            self.clock.advance(cpu_s + TICK_OVERHEAD_S)
 
             # Completions land at the post-tick timestamp.
             for rid in list(active):

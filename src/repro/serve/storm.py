@@ -3,25 +3,28 @@
 Ties the overload-survival layer together (docs/overload.md): an
 open-loop trace (:func:`~repro.serve.overload.make_trace`, typically
 with a :class:`~repro.serve.overload.FlashCrowd` several times above
-sustainable throughput) is fired at a defended service -- overload
-policy, autoscaler -- while an existing
-:class:`~repro.faults.FaultPlan` (crashes, corruption, device
-outages) strikes mid-storm.  The harness recovers planned crashes
-from the write-ahead journal exactly once and reports per-class SLO
-attainment, goodput decomposition (met | degraded | shed | rejected |
-missed) and MTTR.
+sustainable throughput) is fired at defended nodes -- overload
+policy, autoscaler, closed-loop clients, retry budget -- while an
+existing :class:`~repro.faults.FaultPlan` (crashes, corruption,
+device outages) strikes mid-storm.  The harness recovers planned
+crashes from the write-ahead journal exactly once and reports
+per-class SLO attainment, goodput decomposition (met | degraded |
+shed | rejected | missed), MTTR and, with a detector, a post-crowd
+metastability verdict.
 
 Everything is a pure function of the configs' seeds on the virtual
 clock: the same storm replays bit-identically, which is how the
 tests pin it.
 
-:func:`run_storm` drives one :class:`~repro.serve.service.SearchService`
-node; :func:`run_cluster_storm` drives a
+:func:`run_cluster_storm` drives a
 :class:`~repro.serve.cluster.ClusterRouter` across *epochs*, resizing
 the shard count between epochs with the
 :class:`~repro.serve.autoscale.ShardAutoscaler` (consistent hashing
 keeps most keys in place across a resize) and optionally crashing a
-shard mid-storm.
+shard mid-storm.  A single node is the 1-shard, 1-epoch case: the
+router is bit-identical to a bare
+:class:`~repro.serve.service.SearchService` there (docs/cluster.md),
+so one harness serves both.
 
 :data:`SCENARIOS` names every storm that a benchmark report quotes.
 The CLI (``serve-bench --scenario NAME``), the benchmark gates and the
@@ -35,17 +38,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.faults import FaultPlan
 from repro.serve.autoscale import (
-    AutoscalerConfig,
     ShardAutoscaler,
     ShardAutoscalerConfig,
 )
 from repro.serve.clients import (
-    ClientPopulation,
     MetastabilityDetector,
     MetastabilityVerdict,
-    RetryBudget,
 )
 from repro.serve.cluster import (
     ClusterReport,
@@ -54,12 +53,10 @@ from repro.serve.cluster import (
 )
 from repro.serve.metrics import (
     ClassStats,
-    ServiceReport,
     class_summary,
 )
 from repro.serve.overload import (
     FlashCrowd,
-    OverloadPolicy,
     TraceConfig,
     make_trace,
 )
@@ -68,7 +65,6 @@ from repro.serve.request import (
     SearchRequest,
     TERMINAL_STATUSES,
 )
-from repro.serve.service import SearchService, ServiceCrash
 from repro.serve.workload import WorkloadConfig
 
 
@@ -96,147 +92,6 @@ def assert_explicit_outcomes(
 
 
 @dataclass(frozen=True)
-class StormConfig:
-    """One single-node storm: trace + defenses + faults."""
-
-    trace: TraceConfig = field(default_factory=TraceConfig)
-    n_devices: int = 2
-    max_active: int = 32
-    max_queue: int = 128
-    seed: int = 0
-    #: Overload policy (``True`` -> defaults, ``None`` -> undefended).
-    overload: "OverloadPolicy | dict | bool | None" = True
-    #: Device-fleet autoscaler (``None`` -> fixed fleet).
-    autoscale: "AutoscalerConfig | dict | bool | None" = None
-    #: Fault plan string striking mid-storm (``crash=...`` needs a
-    #: ``journal`` to recover from).
-    faults: "str | FaultPlan | None" = None
-    journal: "str | Path | None" = None
-    #: Closed-loop client population (repro.serve.clients): retries
-    #: feed back into offered load (``None`` -> open-loop, the
-    #: legacy storm).
-    clients: "ClientPopulation | dict | bool | None" = None
-    #: Server-side retry budget (``None`` -> retries admitted like
-    #: first-tries).
-    retry_budget: "RetryBudget | dict | bool | None" = None
-    #: Post-crowd metastability analysis (``None`` -> no verdict).
-    detector: "MetastabilityDetector | dict | bool | None" = None
-    #: Extra ``SearchService`` kwargs as ``(key, value)`` pairs.
-    service_kwargs: tuple = ()
-
-    def crowd_clear_s(self) -> float:
-        """When the trace's last flash crowd ends (0.0 with none) --
-        the metastability detector's observation window opens after
-        this point."""
-        return max(
-            (
-                c.start_s + c.duration_s
-                for c in self.trace.components
-                if isinstance(c, FlashCrowd)
-            ),
-            default=0.0,
-        )
-
-    def post_crowd_s(self) -> float:
-        """Start of the post-crowd window: the crowd's end plus the
-        detector's settle time (0 without a detector)."""
-        detector = MetastabilityDetector.coerce(self.detector)
-        settle_s = detector.settle_s if detector is not None else 0.0
-        return self.crowd_clear_s() + settle_s
-
-
-@dataclass
-class StormOutcome:
-    """What one storm did, per class and in aggregate."""
-
-    requests: "list[SearchRequest]"
-    records: "list[RequestRecord]"
-    report: ServiceReport
-    crashes: int = 0
-    recoveries: int = 0
-    #: Recovered incarnation's elapsed time (restart -> drained).
-    mttr_s: float = 0.0
-    #: Post-crowd metastability verdict (``None`` when the storm ran
-    #: without a detector).
-    metastability: "MetastabilityVerdict | None" = None
-
-    @property
-    def per_class(self) -> "dict[str, ClassStats]":
-        return self.report.per_class
-
-    def attainment(self, priority: str) -> float:
-        stats = self.report.per_class.get(priority)
-        return stats.attainment if stats is not None else 0.0
-
-
-def run_storm(config: StormConfig) -> StormOutcome:
-    """Fire one storm at a single service node, recovering a planned
-    mid-storm crash from the journal exactly once."""
-    requests = make_trace(config.trace)
-    kwargs = dict(
-        n_devices=config.n_devices,
-        max_active=config.max_active,
-        max_queue=config.max_queue,
-        seed=config.seed,
-        overload=config.overload,
-        autoscale=config.autoscale,
-        faults=config.faults,
-        clients=config.clients,
-        retry_budget=config.retry_budget,
-    )
-    kwargs.update(dict(config.service_kwargs))
-    service = SearchService(journal=config.journal, **kwargs)
-    service.submit_all(requests)
-    crashes = recoveries = 0
-    mttr_s = 0.0
-    try:
-        records = service.run()
-    except ServiceCrash:
-        if config.journal is None:
-            raise
-        crashes += 1
-        # Journalled completions are adopted verbatim (exactly-once);
-        # incomplete requests resume from their checkpoints.  recover
-        # strips the plan's crash so the storm cannot crash-loop.
-        service = SearchService.recover(config.journal, **kwargs)
-        records = service.run()
-        recoveries += 1
-        mttr_s = service.report().elapsed_s
-    report = service.report()
-    assert_explicit_outcomes(records)
-    detector = MetastabilityDetector.coerce(config.detector)
-    verdict = None
-    if detector is not None:
-        # The observation window runs from the end of the triggering
-        # crowd to the end of the run (arrivals stop at the trace
-        # horizon, but retries and backlogged work finish later).
-        verdict = detector.analyze(
-            records,
-            clear_s=config.crowd_clear_s(),
-            horizon_s=max(
-                config.trace.horizon_s,
-                max(
-                    (
-                        r.finish_s
-                        for r in records
-                        if r.finish_s is not None
-                    ),
-                    default=0.0,
-                ),
-            ),
-        )
-    return StormOutcome(
-        requests=requests,
-        records=records,
-        report=report,
-        crashes=crashes,
-        recoveries=recoveries,
-        mttr_s=mttr_s,
-        metastability=verdict,
-    )
-
-
-@dataclass(frozen=True)
 class ClusterStormConfig:
     """One cluster storm: trace + epoch-wise shard scaling + an
     optional mid-storm shard crash."""
@@ -261,8 +116,11 @@ class ClusterStormConfig:
     #: crash).
     crash_epoch: "int | None" = None
     crash_faults: str = "crash=tick:3"
-    #: Extra per-shard ``SearchService`` kwargs as pairs.
+    #: Extra per-shard ``SearchService`` kwargs as pairs (the node's
+    #: ``overload``, ``autoscale``, ``clients``, ``retry_budget``...).
     service_kwargs: tuple = ()
+    #: Post-crowd metastability analysis (``None`` -> no verdict).
+    detector: "MetastabilityDetector | dict | bool | None" = None
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
@@ -274,6 +132,26 @@ class ClusterStormConfig:
                 f"initial_shards must be positive: "
                 f"{self.initial_shards}"
             )
+
+    def crowd_clear_s(self) -> float:
+        """When the trace's last flash crowd ends (0.0 with none) --
+        the metastability detector's observation window opens after
+        this point."""
+        return max(
+            (
+                c.start_s + c.duration_s
+                for c in self.trace.components
+                if isinstance(c, FlashCrowd)
+            ),
+            default=0.0,
+        )
+
+    def post_crowd_s(self) -> float:
+        """Start of the post-crowd window: the crowd's end plus the
+        detector's settle time (0 without a detector)."""
+        detector = MetastabilityDetector.coerce(self.detector)
+        settle_s = detector.settle_s if detector is not None else 0.0
+        return self.crowd_clear_s() + settle_s
 
 
 @dataclass
@@ -289,6 +167,9 @@ class ClusterStormOutcome:
     crashes: int = 0
     recoveries: int = 0
     mean_mttr_s: float = 0.0
+    #: Post-crowd metastability verdict (``None`` when the storm ran
+    #: without a detector).
+    metastability: "MetastabilityVerdict | None" = None
 
     def attainment(self, priority: str) -> float:
         stats = self.per_class.get(priority)
@@ -307,7 +188,8 @@ def run_cluster_storm(
     resize only moves the keys consistent hashing says must move).
     In ``crash_epoch``, shard 0 runs under ``crash_faults`` and
     recovers from its own journal -- requests of a crashed shard are
-    still served exactly once.
+    still served exactly once.  Records list every epoch's submitted
+    requests, then any retries its closed-loop clients created.
     """
     if config.crash_epoch is not None and config.journal_dir is None:
         with tempfile.TemporaryDirectory() as journal_dir:
@@ -385,6 +267,21 @@ def run_cluster_storm(
             )
             n_shards = scaler.next_count(n_shards, attainment)
     assert_explicit_outcomes(all_records)
+    detector = MetastabilityDetector.coerce(config.detector)
+    # The observation window runs from the end of the triggering
+    # crowd to the end of the run (arrivals stop at the trace horizon,
+    # but retries and backlogged work finish later).
+    end_s = max(
+        [config.trace.horizon_s]
+        + [r.finish_s for r in all_records if r.finish_s is not None]
+    )
+    verdict = (
+        detector.analyze(
+            all_records, clear_s=config.crowd_clear_s(), horizon_s=end_s
+        )
+        if detector is not None
+        else None
+    )
     return ClusterStormOutcome(
         requests=requests,
         records=all_records,
@@ -394,6 +291,7 @@ def run_cluster_storm(
         crashes=crashes,
         recoveries=recoveries,
         mean_mttr_s=sum(mttrs) / len(mttrs) if mttrs else 0.0,
+        metastability=verdict,
     )
 
 
@@ -454,15 +352,33 @@ def _retry_trace(seed: int, crowd: bool = True) -> TraceConfig:
     )
 
 
-def _storm(seed: int = REPORT_SEED, defended: bool = True) -> StormConfig:
+def _node(
+    trace: TraceConfig, seed: int, detector=None, **service_kwargs
+) -> ClusterStormConfig:
+    """A single-node storm: the 1-shard, 1-epoch cluster, its layers
+    passed straight to the node's ``SearchService``."""
+    return ClusterStormConfig(
+        trace=trace,
+        epochs=1,
+        initial_shards=1,
+        seed=seed,
+        detector=detector,
+        service_kwargs=tuple(service_kwargs.items()),
+    )
+
+
+def _storm(
+    seed: int = REPORT_SEED, defended: bool = True
+) -> ClusterStormConfig:
     """REPORT_overload: the 4x crowd on a 2-device node, defended by
     the ladder and an autoscaler (up to 8 devices), or undefended (no
     admission control, fixed fleet)."""
-    return StormConfig(
-        trace=_storm_trace(seed),
+    return _node(
+        _storm_trace(seed),
+        seed,
         n_devices=2,
         max_active=32,
-        seed=seed,
+        max_queue=128,
         overload=True if defended else None,
         autoscale=(
             {"max_devices": 8, "scaleup_lag_s": 0.03}
@@ -472,6 +388,10 @@ def _storm(seed: int = REPORT_SEED, defended: bool = True) -> StormConfig:
     )
 
 
+#: Each shard of the crash-killed cluster storms.
+_KILL_SHARD = (("n_devices", 2), ("max_active", 8), ("overload", True))
+
+
 def _storm_cluster_kill(seed: int = REPORT_SEED) -> ClusterStormConfig:
     """REPORT_overload: a lighter storm on 2 shards whose second epoch
     crashes shard 0."""
@@ -479,17 +399,13 @@ def _storm_cluster_kill(seed: int = REPORT_SEED) -> ClusterStormConfig:
         trace=_storm_trace(seed, base_rate=150.0, horizon_s=0.3),
         seed=seed,
         crash_epoch=1,
-        service_kwargs=(
-            ("n_devices", 2),
-            ("max_active", 8),
-            ("overload", True),
-        ),
+        service_kwargs=_KILL_SHARD,
     )
 
 
 def _retry_storm(
     seed: int = REPORT_SEED, defended: bool = True, crowd: bool = True
-) -> StormConfig:
+) -> ClusterStormConfig:
     """REPORT_retrystorm: closed-loop clients with aggressive retries
     behind the 10x crowd.  Defended adds the retry budget, circuit
     breakers, adaptive throttling and a fast-releasing ladder."""
@@ -513,12 +429,18 @@ def _retry_storm(
             failure_threshold=5, reset_timeout_s=0.1
         )
         clients["throttle"] = dict(k=1.5, window=64)
-    return StormConfig(
-        trace=_retry_trace(seed, crowd),
+    return _node(
+        _retry_trace(seed, crowd),
+        seed,
+        detector=dict(
+            bin_s=0.05,
+            settle_s=0.1,
+            goodput_frac=0.5,
+            min_offered_rate=40.0,
+        ),
         n_devices=2,
         max_active=16,
         max_queue=64,
-        seed=seed,
         # A sticky ladder is itself a metastable state, so this one
         # lets go quickly once pressure clears.
         overload=(
@@ -531,12 +453,6 @@ def _retry_storm(
             dict(fill_per_first_try=0.1, cap=10.0, initial=2.0)
             if defended
             else None
-        ),
-        detector=dict(
-            bin_s=0.05,
-            settle_s=0.1,
-            goodput_frac=0.5,
-            min_offered_rate=40.0,
         ),
     )
 
@@ -551,17 +467,13 @@ def _retry_storm_hedged_kill(
         seed=seed,
         crash_epoch=1,
         hedge=dict(trigger_percentile=90.0),
-        service_kwargs=(
-            ("n_devices", 2),
-            ("max_active", 8),
-            ("overload", True),
-        ),
+        service_kwargs=_KILL_SHARD,
     )
 
 
 #: Scenario name -> builder taking an optional seed (default
 #: :data:`REPORT_SEED`).
-SCENARIOS: "dict[str, Callable[..., StormConfig | ClusterStormConfig]]" = {
+SCENARIOS: "dict[str, Callable[..., ClusterStormConfig]]" = {
     "storm": _storm,
     "storm-undefended": lambda seed=REPORT_SEED: _storm(
         seed, defended=False

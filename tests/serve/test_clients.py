@@ -22,12 +22,12 @@ from repro.serve import (
     ClientConfig,
     ClientPopulation,
     ClientRetryPolicy,
+    ClusterStormConfig,
     FlashCrowd,
     MetastabilityDetector,
     RequestRecord,
     RetryBudget,
     SearchRequest,
-    StormConfig,
     ThrottleConfig,
     TraceConfig,
     WorkloadConfig,
@@ -35,7 +35,7 @@ from repro.serve import (
     lineage_root,
     post_crowd_attainment,
     retry_id,
-    run_storm,
+    run_cluster_storm,
     tenant_of,
 )
 from repro.serve.clients import (
@@ -592,7 +592,9 @@ class TestPostCrowdAttainment:
 # -- the closed loop end to end ----------------------------------------------
 
 
-def storm_config(**overrides) -> StormConfig:
+def storm_config(**overrides) -> ClusterStormConfig:
+    """A closed-loop storm on a single node (the 1-shard, 1-epoch
+    cluster); ``overrides`` replace the node's service kwargs."""
     trace = TraceConfig(
         base_rate=120.0,
         horizon_s=0.25,
@@ -607,13 +609,10 @@ def storm_config(**overrides) -> StormConfig:
             seed=42, engines=("sequential",), budget_scale=0.25
         ),
     )
-    defaults = dict(
-        trace=trace,
+    node = dict(
         n_devices=1,
         max_active=8,
         max_queue=8,
-        seed=42,
-        overload=None,
         clients=dict(
             retry=dict(
                 kind="fixed",
@@ -625,13 +624,27 @@ def storm_config(**overrides) -> StormConfig:
             seed=42,
         ),
     )
-    defaults.update(overrides)
-    return StormConfig(**defaults)
+    node.update(overrides)
+    return ClusterStormConfig(
+        trace=trace,
+        epochs=1,
+        initial_shards=1,
+        seed=42,
+        service_kwargs=tuple(node.items()),
+    )
+
+
+def run_node(config: ClusterStormConfig):
+    """Run a single-node storm; returns the outcome and its node's
+    service report (the per-node counters)."""
+    outcome = run_cluster_storm(config)
+    (report,) = outcome.reports
+    return outcome, report.shard_reports[0]
 
 
 class TestClosedLoopStorm:
     def test_retries_join_the_offered_load(self):
-        outcome = run_storm(storm_config())
+        outcome, node = run_node(storm_config())
         retries = [
             r
             for r in outcome.records
@@ -641,7 +654,7 @@ class TestClosedLoopStorm:
         assert len(outcome.records) == len(outcome.requests) + len(
             retries
         )
-        assert outcome.report.retries_offered == len(retries)
+        assert node.retries_offered == len(retries)
         # Lineage ids stay unique.
         rids = [r.request.request_id for r in outcome.records]
         assert len(rids) == len(set(rids))
@@ -658,15 +671,15 @@ class TestClosedLoopStorm:
                 for r in outcome.records
             ]
 
-        assert fingerprint(run_storm(storm_config())) == fingerprint(
-            run_storm(storm_config())
-        )
+        assert fingerprint(
+            run_cluster_storm(storm_config())
+        ) == fingerprint(run_cluster_storm(storm_config()))
 
     def test_open_loop_arrivals_unchanged_by_client_layer(self):
         """Adding clients never changes the trace itself -- only
         retries are added on top."""
-        closed = run_storm(storm_config())
-        open_loop = run_storm(storm_config(clients=None))
+        closed = run_cluster_storm(storm_config())
+        open_loop = run_cluster_storm(storm_config(clients=None))
         assert [
             r.request_id for r in closed.requests
         ] == [r.request_id for r in open_loop.requests]
@@ -681,7 +694,7 @@ class TestClosedLoopStorm:
         }
 
     def test_retry_budget_rejects_with_explicit_outcome(self):
-        outcome = run_storm(
+        outcome, node = run_node(
             storm_config(
                 retry_budget=dict(
                     fill_per_first_try=0.0, cap=1.0, initial=0.0
@@ -701,33 +714,31 @@ class TestClosedLoopStorm:
             attempt_of(r.request.request_id) > 0
             for r in budget_rejected
         )
-        assert outcome.report.budget_rejected == len(budget_rejected)
+        assert node.budget_rejected == len(budget_rejected)
         # A zero-fill budget admits no retries at all.
-        assert outcome.report.budget_granted == 0
+        assert node.budget_granted == 0
 
     def test_budget_never_charges_first_tries(self):
         """Even a zero-token budget touches only retries: every
         first-try is admitted exactly as without one (the budget may
         still *help* first-tries by keeping retries out of their
         queue, so statuses are compared on the budget run itself)."""
-        outcome = run_storm(
+        outcome, node = run_node(
             storm_config(
                 retry_budget=dict(
                     fill_per_first_try=0.0, cap=1.0, initial=0.0
                 )
             )
         )
-        free = run_storm(storm_config())
-        assert (
-            outcome.report.first_tries == free.report.first_tries
-        )
+        _, free = run_node(storm_config())
+        assert node.first_tries == free.first_tries
         for rec in outcome.records:
             if attempt_of(rec.request.request_id) == 0:
                 assert not rec.extras.get("budget_rejected")
 
     def test_defenses_reduce_retry_volume(self):
-        undefended = run_storm(storm_config())
-        defended = run_storm(
+        _, undefended = run_node(storm_config())
+        _, defended = run_node(
             storm_config(
                 clients=dict(
                     retry=dict(
@@ -748,13 +759,10 @@ class TestClosedLoopStorm:
                 ),
             )
         )
+        assert defended.retries_offered < undefended.retries_offered
         assert (
-            defended.report.retries_offered
-            < undefended.report.retries_offered
-        )
-        assert (
-            defended.report.client_suppressed_breaker
-            + defended.report.client_suppressed_throttle
+            defended.client_suppressed_breaker
+            + defended.client_suppressed_throttle
             > 0
         )
 
@@ -765,9 +773,8 @@ class TestClosedLoopStorm:
         from dataclasses import replace
 
         assert (
-            StormConfig(
-                trace=replace(trace, components=()),
-                clients=None,
+            replace(
+                no_crowd, trace=replace(trace, components=())
             ).crowd_clear_s()
             == 0.0
         )

@@ -8,13 +8,20 @@ from repro.serve import (
     COMPLETED,
     MISSED,
     ClusterRouter,
+    FlashCrowd,
     HashRing,
     HedgePolicy,
     ResultCache,
     SearchRequest,
     SearchService,
+    ServiceCrash,
     ServiceError,
+    TraceConfig,
+    WorkloadConfig,
+    attempt_of,
+    make_trace,
 )
+from repro.serve.cache import CACHE_HIT_COST_S
 from repro.util.seeding import derive_seed
 from tests.core.test_differential import SMALL_SPECS
 
@@ -160,6 +167,104 @@ def test_single_shard_cluster_is_bit_identical(kind, backend):
     ]
 
 
+#: A closed-loop node: a flash crowd through one device and a short
+#: queue, so clients retry and the retry budget both grants and
+#: rejects.
+CLOSED_LOOP_NODE = dict(
+    n_devices=1,
+    max_active=8,
+    max_queue=8,
+    seed=42,
+    clients=dict(
+        retry=dict(
+            kind="fixed",
+            base_s=0.01,
+            jitter=0.2,
+            max_attempts=4,
+            give_up_s=(),
+        ),
+        seed=42,
+    ),
+    retry_budget=dict(fill_per_first_try=0.5, cap=4.0, initial=1.0),
+)
+
+
+def closed_loop_trace():
+    return make_trace(
+        TraceConfig(
+            base_rate=120.0,
+            horizon_s=0.25,
+            seed=42,
+            components=(FlashCrowd(0.05, 0.1, 5.0),),
+            class_deadline_s=(
+                ("interactive", 0.05),
+                ("standard", 0.1),
+                ("batch", 0.2),
+            ),
+            workload=WorkloadConfig(
+                seed=42, engines=("sequential",), budget_scale=0.25
+            ),
+        )
+    )
+
+
+def test_single_shard_cluster_matches_closed_loop_service():
+    """The 1-shard pin holds with closed-loop clients and a retry
+    budget: the retries the shard's clients create come back from the
+    router, after the submitted requests, exactly as the bare service
+    returns them."""
+    reqs = closed_loop_trace()
+    bare = SearchService(**CLOSED_LOOP_NODE)
+    bare.submit_all(reqs)
+    bare_records = bare.run()
+    assert any(
+        attempt_of(r.request.request_id) > 0 for r in bare_records
+    )
+    assert bare.report().budget_rejected > 0
+
+    cluster = ClusterRouter(n_shards=1, **CLOSED_LOOP_NODE)
+    cluster.submit_all(reqs)
+    cluster_records = cluster.run()
+
+    assert [fingerprint(r) for r in cluster_records] == [
+        fingerprint(r) for r in bare_records
+    ]
+    assert cluster.report().offered == len(bare_records)
+
+
+def test_single_shard_cluster_recovers_journalled_retries(tmp_path):
+    """A crash after clients have retried: the shard recovers every
+    attempt of the requests it was sent (matched by lineage), so the
+    1-shard cluster still equals the bare service recovered from its
+    own journal."""
+    reqs = closed_loop_trace()
+    kwargs = dict(CLOSED_LOOP_NODE, faults="crash=tick:80")
+    bare = SearchService(journal=tmp_path / "bare.journal", **kwargs)
+    bare.submit_all(reqs)
+    with pytest.raises(ServiceCrash):
+        bare.run()
+    assert any(
+        attempt_of(r.request.request_id) > 0 for r in bare.records
+    )
+    recovered = SearchService.recover(
+        tmp_path / "bare.journal", **kwargs
+    )
+    bare_records = recovered.run()
+
+    cluster = ClusterRouter(
+        n_shards=1, journal_dir=tmp_path / "cluster", **kwargs
+    )
+    cluster.submit_all(reqs)
+    cluster_records = cluster.run()
+    report = cluster.report()
+
+    assert report.shard_crashes == report.shard_recoveries == 1
+    assert report.foreign_records == 0
+    assert [fingerprint(r) for r in cluster_records] == [
+        fingerprint(r) for r in bare_records
+    ]
+
+
 # -- routing -----------------------------------------------------------------
 
 
@@ -205,8 +310,6 @@ def test_submission_errors():
         cluster.run()
     with pytest.raises(ValueError):
         ClusterRouter(n_shards=2, replicas=0)
-    with pytest.raises(ValueError):
-        ClusterRouter(n_shards=2, vote_trim=0.5)
 
 
 # -- the result cache in the cluster -----------------------------------------
@@ -268,7 +371,7 @@ class TestClusterCache:
         assert record.extras.get("cache_hit") is True
         # No leader to wait on: answered right at arrival.
         assert record.finish_s == pytest.approx(
-            record.request.arrival_s + cluster.cache_hit_cost_s
+            record.request.arrival_s + CACHE_HIT_COST_S
         )
 
     def test_follower_past_deadline_is_missed(self):

@@ -17,17 +17,17 @@ from repro.serve import (
     SHED,
     TERMINAL_STATUSES,
     AdversarialBurst,
+    ClusterStormConfig,
     DiurnalCycle,
     FlashCrowd,
     HysteresisController,
     OverloadPolicy,
     SearchService,
-    StormConfig,
     TraceConfig,
     WorkloadConfig,
     assert_explicit_outcomes,
     make_trace,
-    run_storm,
+    run_cluster_storm,
 )
 from repro.serve.overload import _mix_cdf
 from repro.serve.storm import SilentOutcomeError
@@ -566,14 +566,24 @@ class TestShedding:
 # -- storm-level invariants --------------------------------------------------
 
 
+def node_storm(trace: TraceConfig) -> ClusterStormConfig:
+    """A defended single node (the 1-shard, 1-epoch cluster)."""
+    return ClusterStormConfig(
+        trace=trace,
+        epochs=1,
+        initial_shards=1,
+        service_kwargs=(
+            ("n_devices", 1),
+            ("max_active", 4),
+            ("max_queue", 128),
+            ("overload", True),
+        ),
+    )
+
+
 class TestStormHarness:
     def test_storm_replays_bit_identically(self):
-        cfg = StormConfig(
-            trace=small_trace(),
-            n_devices=1,
-            max_active=4,
-            overload=True,
-        )
+        cfg = node_storm(small_trace())
 
         def fingerprint(outcome):
             return [
@@ -587,18 +597,13 @@ class TestStormHarness:
                 for r in outcome.records
             ]
 
-        assert fingerprint(run_storm(cfg)) == fingerprint(
-            run_storm(cfg)
+        assert fingerprint(run_cluster_storm(cfg)) == fingerprint(
+            run_cluster_storm(cfg)
         )
 
     def test_every_outcome_is_explicit_and_counted(self):
-        outcome = run_storm(
-            StormConfig(
-                trace=small_trace(base_rate=300.0),
-                n_devices=1,
-                max_active=4,
-                overload=True,
-            )
+        outcome = run_cluster_storm(
+            node_storm(small_trace(base_rate=300.0))
         )
         assert len(outcome.records) == len(outcome.requests)
         assert all(

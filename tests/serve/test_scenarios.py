@@ -16,7 +16,6 @@ from repro.serve import (
     MetastabilityDetector,
     OverloadPolicy,
     RetryBudget,
-    StormConfig,
     make_trace,
     run_cluster_storm,
 )
@@ -44,17 +43,20 @@ def test_builder_returns_valid_config(name, seed):
     assert config.seed == expected
     assert config.trace.seed == config.trace.workload.seed == expected
     assert make_trace(config.trace)
-    if isinstance(config, ClusterStormConfig):
-        assert config.crash_epoch is not None
-        HedgePolicy.coerce(config.hedge)
-        return
-    assert isinstance(config, StormConfig)
-    # Every layer the storm switches on coerces cleanly.
-    OverloadPolicy.coerce(config.overload)
-    AutoscalerConfig.coerce(config.autoscale)
-    ClientPopulation.coerce(config.clients)
-    RetryBudget.coerce(config.retry_budget)
+    # Every preset, single node included, is a cluster storm.
+    assert isinstance(config, ClusterStormConfig)
+    HedgePolicy.coerce(config.hedge)
     MetastabilityDetector.coerce(config.detector)
+    # Every layer the storm switches on coerces cleanly.
+    node = dict(config.service_kwargs)
+    OverloadPolicy.coerce(node.get("overload"))
+    AutoscalerConfig.coerce(node.get("autoscale"))
+    ClientPopulation.coerce(node.get("clients"))
+    RetryBudget.coerce(node.get("retry_budget"))
+    if config.initial_shards == config.epochs == 1:
+        assert config.crash_epoch is None
+    else:
+        assert config.crash_epoch is not None
 
 
 def test_post_crowd_window_derives_from_config():
